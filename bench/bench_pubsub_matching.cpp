@@ -268,12 +268,6 @@ BENCHMARK_CAPTURE(bm_match, anchor_index, "anchor-index")
     ->Args({50000, 0})
     ->Args({1000, 30})
     ->Args({10000, 30});
-BENCHMARK_CAPTURE(bm_match, counting, "counting")
-    ->Args({100, 0})
-    ->Args({1000, 0})
-    ->Args({10000, 0})
-    ->Args({1000, 30})
-    ->Args({10000, 30});
 BENCHMARK_CAPTURE(bm_match, bitset, "bitset")
     ->Args({100, 0})
     ->Args({1000, 0})
@@ -339,8 +333,6 @@ void bm_match_batch(benchmark::State& state, const std::string& engine) {
   ->Args({10000, 8})->Args({10000, 32})->Args({10000, 128})
 BENCHMARK_CAPTURE(bm_match_loop, anchor_index, "anchor-index") BATCH_ARGS;
 BENCHMARK_CAPTURE(bm_match_batch, anchor_index, "anchor-index") BATCH_ARGS;
-BENCHMARK_CAPTURE(bm_match_loop, counting, "counting") BATCH_ARGS;
-BENCHMARK_CAPTURE(bm_match_batch, counting, "counting") BATCH_ARGS;
 BENCHMARK_CAPTURE(bm_match_loop, bitset, "bitset") BATCH_ARGS;
 BENCHMARK_CAPTURE(bm_match_batch, bitset, "bitset") BATCH_ARGS;
 BENCHMARK_CAPTURE(bm_match_loop, brute_force, "brute-force")
@@ -395,7 +387,6 @@ void bm_match_batch_dense(benchmark::State& state, const std::string& engine) {
 BENCHMARK_CAPTURE(bm_match_batch_dense, bitset, "bitset") DENSE_ARGS;
 BENCHMARK_CAPTURE(bm_match_batch_dense, anchor_index, "anchor-index")
     DENSE_ARGS;
-BENCHMARK_CAPTURE(bm_match_batch_dense, counting, "counting") DENSE_ARGS;
 #undef DENSE_ARGS
 BENCHMARK_CAPTURE(bm_match_batch_dense, brute_force, "brute-force")
     ->Args({1000, 128});
@@ -445,7 +436,6 @@ void bm_match_batch_range(benchmark::State& state, const std::string& engine) {
 BENCHMARK_CAPTURE(bm_match_batch_range, anchor_index, "anchor-index")
     RANGE_ARGS;
 BENCHMARK_CAPTURE(bm_match_batch_range, bitset, "bitset") RANGE_ARGS;
-BENCHMARK_CAPTURE(bm_match_batch_range, counting, "counting") RANGE_ARGS;
 #undef RANGE_ARGS
 BENCHMARK_CAPTURE(bm_match_batch_range, brute_force, "brute-force")
     ->Args({1000, 128})
@@ -497,7 +487,6 @@ void bm_match_batch_suffix(benchmark::State& state,
 BENCHMARK_CAPTURE(bm_match_batch_suffix, anchor_index, "anchor-index")
     SUFFIX_ARGS;
 BENCHMARK_CAPTURE(bm_match_batch_suffix, bitset, "bitset") SUFFIX_ARGS;
-BENCHMARK_CAPTURE(bm_match_batch_suffix, counting, "counting") SUFFIX_ARGS;
 #undef SUFFIX_ARGS
 BENCHMARK_CAPTURE(bm_match_batch_suffix, brute_force, "brute-force")
     ->Args({1000, 128})
@@ -614,8 +603,6 @@ void bm_match_batch_sharded(benchmark::State& state,
       ->Args({table, 1024, 8, 4, 1})
 BENCHMARK_CAPTURE(bm_match_batch_sharded, anchor_index, "anchor-index")
     SHARD_SWEEP(10000) SHARD_SWEEP(50000)->UseRealTime();
-BENCHMARK_CAPTURE(bm_match_batch_sharded, counting, "counting")
-    SHARD_SWEEP(10000)->UseRealTime();
 BENCHMARK_CAPTURE(bm_match_batch_sharded, bitset, "bitset")
     SHARD_SWEEP(10000)->UseRealTime();
 BENCHMARK_CAPTURE(bm_match_batch_sharded, brute_force, "brute-force")

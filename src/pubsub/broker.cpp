@@ -23,9 +23,6 @@ RoutingTable::Config make_table_config(const Broker::Config& config) {
   table.shard_count = config.shard_count;
   table.worker_threads = config.worker_threads;
   table.prefilter_enabled = config.prefilter_enabled;
-  table.maintain_churn_threshold = config.maintain_churn_threshold;
-  table.maintain_max_bucket = config.maintain_max_bucket;
-  table.maintain_skew_ratio = config.maintain_skew_ratio;
   return table;
 }
 

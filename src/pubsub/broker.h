@@ -73,7 +73,7 @@ class Broker final : public sim::Node {
     /// Covering-based pruning of forwarded subscriptions (ablation knob).
     bool covering_enabled = true;
     /// Matching engine, by MatcherRegistry name ("brute-force",
-    /// "anchor-index", "counting", a "sharded:<inner>" variant, or
+    /// "anchor-index", "bitset", a "sharded:<inner>" variant, or
     /// anything registered at runtime).
     std::string matcher_engine = std::string(kDefaultEngine);
     /// Filter-state shards inside this broker's routing table. 0 = auto
@@ -91,15 +91,6 @@ class Broker final : public sim::Node {
     /// byte-identical on or off (the differential fuzz harness holds
     /// this), only per-shard matching work differs.
     bool prefilter_enabled = true;
-    /// Subscription add/removes between Matcher::maintain passes (anchor
-    /// rebalancing under churn); 0 disables churn-driven maintenance.
-    std::size_t maintain_churn_threshold = kDefaultMaintainChurnThreshold;
-    /// Equality-bucket bound handed to Matcher::maintain.
-    std::size_t maintain_max_bucket = kDefaultMaintainMaxBucket;
-    /// Skew ratio arming skew-triggered maintenance (fire early when
-    /// largest/mean equality bucket exceeds it, skip churn-scheduled
-    /// passes while balanced); 0 = churn-count-only scheduling.
-    std::size_t maintain_skew_ratio = kDefaultMaintainSkewRatio;
     /// Scored delivery (see scoring.h): publications are matched through
     /// the scored batch path and each client subscription's ScoringSpec
     /// (top_k / min_score) is applied per publication batch before

@@ -1,6 +1,6 @@
 // Event-to-subscription matching engines.
 //
-// Four implementations share one interface, selected by name through the
+// Three implementations share one interface, selected by name through the
 // MatcherRegistry (see matcher_registry.h):
 //   "brute-force"  — linear scan; the correctness oracle in tests and the
 //                    ablation baseline in benches.
@@ -11,9 +11,6 @@
 //                    string prefix table, a reversed-pattern suffix table,
 //                    a length-sorted contains table, or the residual scan
 //                    list.
-//   "counting"     — classic Gryphon/Siena counting algorithm: constraints
-//                    indexed per attribute, a filter fires when all of its
-//                    constraints have been satisfied by the event.
 //   "bitset"       — posting lists as dense bitmaps over filter slots;
 //                    batch matching is AND/ANDNOT/popcount word streams
 //                    with a bit-sliced counting threshold pass (see
@@ -136,30 +133,21 @@ class EventBatchView {
   bool all_ = true;
 };
 
-/// Equality-bucket shape introspection, feeding the routing table's
-/// skew-triggered maintenance (fire Matcher::maintain early when
-/// largest/mean crosses a ratio, skip the pass when balanced). Engines
-/// without equality buckets report all-zero and are treated as balanced —
-/// their maintain() is a no-op anyway.
+/// Equality-bucket shape, returned by Matcher::eq_bucket_stats. No engine
+/// overrides that virtual; the struct stays only because the overlay
+/// benchmark's tracing matcher (overlaybench/trace.h) forwards it.
 struct EqBucketStats {
   std::size_t largest = 0;  ///< size of the largest equality bucket
   std::size_t buckets = 0;  ///< number of live equality buckets
   std::size_t filters = 0;  ///< filters living in those buckets
-  /// Identity hash of the largest bucket's (attribute, value) key; 0 when
-  /// there are no buckets. The routing table's zero-change backoff uses it
-  /// to distinguish "the pinned bucket grew" (stay suppressed) from "a
-  /// different bucket took over as largest" (re-arm — the newcomer may be
-  /// movable). Ties between equal-size buckets resolve to the first seen,
-  /// which is unspecified but stable between consecutive unmodified
-  /// samples; a spurious key flip costs at most one extra maintain pass.
-  std::size_t largest_key = 0;
+  std::size_t largest_key = 0;  ///< identity hash of the largest bucket
 };
 
 /// Common interface of the matching engines.
 ///
 /// ## The Matcher contract
 ///
-/// Every engine behind MatcherRegistry is held to three invariants; the
+/// Every engine behind MatcherRegistry is held to two invariants; the
 /// differential fuzz harness (tests/pubsub_differential_fuzz_test.cpp)
 /// replays adversarial schedules through every registered engine against
 /// the brute-force oracle to enforce them:
@@ -176,17 +164,6 @@ struct EqBucketStats {
 ///      positions. The sharded layer's zero-copy pre-filter is built on
 ///      this: it hands each shard an index-span view and splices shard
 ///      outputs back by backing index.
-///   3. **Maintenance transparency.** maintain() may restructure internal
-///      state (re-anchor filters, rebuild buckets) but must never change
-///      any match result — only probe cost. It may run at any point
-///      between operations; the fuzz harness interleaves it with churn.
-///
-/// eq_bucket_stats() is introspection, not contract output: a consistent
-/// snapshot of the engine's equality-bucket shape *at the call*, used by
-/// the routing table to schedule maintenance (fire early on skew, skip
-/// provable no-op passes, stand down on pinned buckets). All-zero stats
-/// mean "nothing to repair" and must only be returned when maintain() is
-/// a no-op on the engine's current state.
 class Matcher {
  public:
   virtual ~Matcher() = default;
@@ -243,34 +220,14 @@ class Matcher {
 
   virtual std::string name() const = 0;
 
-  /// Optional structural-maintenance hook. The routing layer calls it on a
-  /// churn schedule (RoutingTable::Config::maintain_churn_threshold) so
-  /// engines whose probe cost degrades under adversarial add/remove
-  /// patterns can repair themselves in the production path: the anchor
-  /// index re-runs anchor selection for filters stranded in equality
-  /// buckets larger than `max_bucket` (IndexMatcher::rebalance), the
-  /// sharded layer fans the call out to its shards. Must never change
-  /// match results — only probe cost. Returns the number of structural
-  /// changes made; the default (engines with no amortized state) is a
-  /// no-op returning 0.
+  /// Vestigial no-ops: nothing in the library calls these and no engine
+  /// overrides them. They stay declared only because the overlay
+  /// benchmark's tracing matcher (overlaybench/trace.h) overrides both;
+  /// remove them together with those overrides.
   virtual std::size_t maintain(std::size_t max_bucket) {
     (void)max_bucket;
     return 0;
   }
-
-  /// Equality-bucket shape for skew-triggered maintenance; engines with no
-  /// equality buckets (or no amortized state worth repairing) report
-  /// all-zero. An engine that overrides maintain() with real repair work
-  /// SHOULD override this too: the routing table gates its skew-triggered
-  /// scheduling on these stats, and falls back to the plain churn
-  /// schedule only while an engine has never reported a nonzero shape.
-  /// Semantics: `largest` is the population of the single biggest
-  /// equality bucket, `buckets` the number of live (non-empty) buckets,
-  /// `filters` the total population across them — so filters/buckets is
-  /// the mean the skew ratio compares against. The snapshot must be
-  /// consistent (one logical point in time) but carries no freshness
-  /// guarantee beyond the call; the scheduler tolerates staleness of up
-  /// to one churn op by construction (it re-samples every check).
   virtual EqBucketStats eq_bucket_stats() const noexcept { return {}; }
 
   /// Convenience wrapper returning a fresh vector.
@@ -372,37 +329,8 @@ class IndexMatcher final : public Matcher {
   std::size_t scan_anchored() const noexcept { return scan_count_; }
   /// Attribute a filter is currently anchored on (empty string for the
   /// universal list; nullopt for unknown ids). Test/bench introspection
-  /// for the anchor-rebalancing behavior.
+  /// for add-time anchor selection.
   std::optional<std::string> anchor_attribute(SubscriptionId id) const;
-  /// Size of the largest equality bucket (0 when none exist).
-  std::size_t largest_eq_bucket() const noexcept;
-  /// Largest / count / population of the equality buckets — O(1): the
-  /// shape is maintained incrementally at every bucket push/erase (a size
-  /// histogram of bucket identity keys), so the routing table's skew
-  /// sampling never pays a bucket scan. The largest size can fall at most
-  /// one step per removal, so the downward search is amortized O(1) too.
-  EqBucketStats eq_bucket_stats() const noexcept override;
-
-  /// Anchor maintenance under adversarial churn: anchors are chosen at add
-  /// time against the bucket sizes of that moment, so a long-lived filter
-  /// can sit in a bucket that has since grown far past its alternatives.
-  /// This pass re-runs anchor selection (in ascending id order, so it is
-  /// deterministic) for every filter living in an equality bucket larger
-  /// than `max_bucket` — and a filter moves only if another of its
-  /// equality buckets is strictly smaller than its current one at that
-  /// point of the pass. Returns how many filters moved. Matching is
-  /// correct for *any* anchor assignment — the pass only affects probe
-  /// cost. Filters whose sole equality constraint is the hot one are
-  /// pinned (they are skipped outright); largest_eq_bucket() stays above
-  /// `max_bucket` in that case — the skew the churn test documents.
-  std::size_t rebalance(std::size_t max_bucket);
-
-  /// Maintenance hook: anchor rebalancing is this engine's structural
-  /// repair (rebalance() itself no-ops cheaply when no bucket exceeds
-  /// `max_bucket`).
-  std::size_t maintain(std::size_t max_bucket) override {
-    return rebalance(max_bucket);
-  }
 
  private:
   enum class AnchorKind : std::uint8_t {
@@ -458,14 +386,6 @@ class IndexMatcher final : public Matcher {
     std::vector<ContainsPosting> postings;
   };
 
-  /// Incremental eq-bucket-stats bookkeeping, called at every bucket
-  /// push/erase with the bucket's new size (hist bins hold identity keys
-  /// so largest_key falls out of the histogram).
-  void note_bucket_grew(AttrId attr, const Value& value,
-                        std::size_t new_size);
-  void note_bucket_shrank(AttrId attr, const Value& value,
-                          std::size_t new_size);
-
   std::unordered_map<SubscriptionId, Entry> filters_;
   /// attribute id -> canonical value -> filters anchored on (attr = value)
   std::unordered_map<AttrId,
@@ -495,60 +415,6 @@ class IndexMatcher final : public Matcher {
   std::size_t suffix_count_ = 0;
   std::size_t contains_count_ = 0;
   std::size_t scan_count_ = 0;
-  /// Total postings across the equality buckets (an in-anchored filter
-  /// occupies one posting per bucketable member, so this is what
-  /// EqBucketStats::filters reports — not eq_count_).
-  std::size_t eq_postings_ = 0;
-  /// Bucket-size histogram: size -> {bucket identity key -> buckets of
-  /// that size under that key}. Keys are hash_combine(attr, hash(value)) —
-  /// the same identity EqBucketStats::largest_key reports — and carry a
-  /// count so a (vanishingly unlikely) key collision stays correct.
-  std::unordered_map<std::size_t,
-                     std::unordered_map<std::size_t, std::size_t>>
-      eq_size_hist_;
-  std::size_t eq_buckets_ = 0;   // live (non-empty) buckets
-  std::size_t eq_largest_ = 0;   // size of the largest bucket
-  std::size_t eq_largest_key_ = 0;  // its identity key (0 when none)
-};
-
-/// Counting matcher (Gryphon/Siena style). Every constraint of every
-/// filter is indexed per attribute — equality constraints through a hash
-/// table on the canonical value, the rest on a per-attribute list. An
-/// event walks its own attributes, tallies one count per satisfied
-/// constraint, and a filter fires when its count reaches its constraint
-/// total. Unlike the anchor index, constraints are evaluated at most once
-/// each; the cost is the per-match counting table.
-class CountingMatcher final : public Matcher {
- public:
-  using Matcher::match;
-  using Matcher::match_batch;
-  void add(SubscriptionId id, Filter filter) override;
-  void remove(SubscriptionId id) override;
-  void match(const Event& event,
-             std::vector<SubscriptionId>& out) const override;
-  std::size_t size() const noexcept override { return filters_.size(); }
-  std::string name() const override { return "counting"; }
-
-  /// Introspection: indexed constraint postings (eq + non-eq).
-  std::size_t posting_count() const noexcept { return postings_; }
-
- private:
-  struct NonEqPosting {
-    Constraint constraint;
-    SubscriptionId id;
-  };
-
-  std::unordered_map<SubscriptionId, Filter> filters_;
-  /// attribute id -> canonical value -> filters with an (attr = value)
-  /// equality constraint (one posting per constraint).
-  std::unordered_map<AttrId,
-                     std::unordered_map<Value, std::vector<SubscriptionId>>,
-                     AttrIdHash>
-      eq_;
-  /// attribute id -> non-equality constraint postings on that attribute.
-  std::unordered_map<AttrId, std::vector<NonEqPosting>, AttrIdHash> noneq_;
-  std::vector<SubscriptionId> universal_;  // empty filters match everything
-  std::size_t postings_ = 0;
 };
 
 }  // namespace reef::pubsub

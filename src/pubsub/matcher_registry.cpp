@@ -18,15 +18,12 @@ MatcherRegistry::MatcherRegistry() {
       [] { return std::make_unique<BruteForceMatcher>(); });
   add(std::string(kAnchorIndexEngine),
       [] { return std::make_unique<IndexMatcher>(); });
-  add(std::string(kCountingEngine),
-      [] { return std::make_unique<CountingMatcher>(); });
   add(std::string(kBitsetEngine),
       [] { return std::make_unique<BitsetMatcher>(); });
   // Sharded variants of the built-ins, so names() exposes them and every
   // registry-driven equivalence test / bench covers the sharded layer.
   for (const std::string_view inner :
-       {kBruteForceEngine, kAnchorIndexEngine, kCountingEngine,
-        kBitsetEngine}) {
+       {kBruteForceEngine, kAnchorIndexEngine, kBitsetEngine}) {
     add(std::string(kShardedPrefix) + std::string(inner),
         [name = std::string(inner)] {
           return std::make_unique<ShardedMatcher>(

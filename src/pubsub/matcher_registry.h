@@ -1,7 +1,7 @@
 // String-keyed registry of matching-engine factories.
 //
 // Broker configuration, benches, and examples select an engine by name
-// ("brute-force", "anchor-index", "counting", "bitset") instead of
+// ("brute-force", "anchor-index", "bitset") instead of
 // hard-coding a type; new engines register themselves without touching
 // broker code.
 //
@@ -28,7 +28,6 @@ namespace reef::pubsub {
 // Canonical names of the built-in engines.
 inline constexpr std::string_view kBruteForceEngine = "brute-force";
 inline constexpr std::string_view kAnchorIndexEngine = "anchor-index";
-inline constexpr std::string_view kCountingEngine = "counting";
 inline constexpr std::string_view kBitsetEngine = "bitset";
 
 /// Name prefix selecting the sharded wrapper around an inner engine.

@@ -27,22 +27,6 @@
 
 namespace reef::pubsub {
 
-/// Default churn budget between structural-maintenance passes: after this
-/// many filter add/removes the routing table invokes Matcher::maintain
-/// (anchor rebalancing in the anchor index, fanned out per shard by the
-/// sharded layer). Maintenance never changes match results, so it is on by
-/// default; 0 disables it (the ablation baseline).
-inline constexpr std::size_t kDefaultMaintainChurnThreshold = 1024;
-/// Default equality-bucket bound handed to Matcher::maintain: filters in
-/// buckets that grew past this are re-anchored.
-inline constexpr std::size_t kDefaultMaintainMaxBucket = 64;
-/// Default skew ratio arming skew-triggered maintenance: a maintain pass
-/// fires early when largest_eq_bucket / max(1, mean_eq_bucket) exceeds
-/// this, and the churn-scheduled pass is skipped while the buckets stay
-/// balanced (a balanced table has nothing for rebalance to move, so the
-/// pass would be a no-op scan). 0 = churn-count-only scheduling.
-inline constexpr std::size_t kDefaultMaintainSkewRatio = 8;
-
 class RoutingTable {
  public:
   /// Interface identifier. Deliberately a bare integer (not sim::NodeId)
@@ -73,21 +57,6 @@ class RoutingTable {
     /// knob; byte-identical output either way). Ignored when the engine
     /// ends up unsharded.
     bool prefilter_enabled = true;
-    /// Filter add/removes between Matcher::maintain passes; 0 disables
-    /// churn-driven maintenance.
-    std::size_t maintain_churn_threshold = kDefaultMaintainChurnThreshold;
-    /// Equality-bucket bound passed to Matcher::maintain.
-    std::size_t maintain_max_bucket = kDefaultMaintainMaxBucket;
-    /// Skew-triggered maintenance: when > 0, the engine's equality-bucket
-    /// shape is sampled every maintain_churn_threshold/8 churn ops, a
-    /// maintain pass fires *early* when largest / max(1, mean) bucket
-    /// exceeds this ratio AND the largest bucket exceeds
-    /// maintain_max_bucket (rebalance only acts above that bound, so
-    /// every fire is actionable), and the regular churn-scheduled pass is
-    /// skipped when no bucket exceeds maintain_max_bucket (provably a
-    /// no-op then). 0 = churn-count-only scheduling (the PR 3 behavior).
-    /// Maintenance never changes match results, only probe cost.
-    std::size_t maintain_skew_ratio = kDefaultMaintainSkewRatio;
   };
 
   /// Where a matched event must go: an interface plus, for client
@@ -233,30 +202,6 @@ class RoutingTable {
   std::size_t forwarded_size(IfaceId neighbor) const;
   const Matcher& matcher() const noexcept { return *matcher_; }
   const Config& config() const noexcept { return config_; }
-  /// Maintenance passes run so far (churn-scheduled + skew-triggered).
-  std::uint64_t maintain_runs() const noexcept { return maintain_runs_; }
-  /// Total structural changes (e.g. filters re-anchored) those passes made.
-  std::uint64_t maintain_changes() const noexcept {
-    return maintain_changes_;
-  }
-  /// Maintenance passes fired *early* by the skew trigger (before the
-  /// churn threshold; see Config::maintain_skew_ratio).
-  std::uint64_t maintain_skew_triggers() const noexcept {
-    return maintain_skew_triggers_;
-  }
-  /// Skew-triggered fires suppressed by the zero-change backoff: after a
-  /// maintain pass that moved nothing (a pinned hot bucket — filters whose
-  /// only equality constraint is the hot one cannot be re-anchored), the
-  /// early trigger stands down while the largest bucket has only grown
-  /// since; it re-arms when the bucket shrinks (once per backoff episode —
-  /// a draining bucket must not re-fire per removal), when a different
-  /// bucket takes over as largest, or when any pass makes a change.
-  /// Scheduled (churn-threshold) passes are never suppressed, so repair
-  /// stays guaranteed at the PR 3 cadence.
-  std::uint64_t maintain_backoff_skips() const noexcept {
-    return maintain_backoff_skips_;
-  }
-
   // --- covering reduction (public for tests and benches) --------------------
   /// Reduces a key->filter set to its maximal elements under covering,
   /// pruning candidate cover pairs through a per-call signature index
@@ -289,12 +234,6 @@ class RoutingTable {
   std::uint64_t add_entry(Filter filter, IfaceId iface, bool from_broker,
                           SubscriptionId client_sub, ScoringSpec scoring = {});
   void remove_entry(std::uint64_t engine_id);
-  /// Counts one add/remove toward the maintenance budget and runs
-  /// Matcher::maintain when the churn threshold trips or the skew
-  /// trigger fires (see Config::maintain_skew_ratio).
-  void note_churn();
-  /// Runs one maintenance pass and resets the churn budget.
-  void run_maintain();
   Destination destination_of(std::uint64_t engine_id) const;
   /// The stored spec of an entry (neutral when it has none).
   ScoringSpec entry_scoring(std::uint64_t engine_id) const;
@@ -313,35 +252,6 @@ class RoutingTable {
   /// path's lookup surface; see Matcher::match_batch_scored).
   ScoringIndex scoring_index_;
   std::uint64_t next_engine_id_ = 1;
-
-  std::size_t churn_since_maintain_ = 0;
-  std::uint64_t maintain_runs_ = 0;
-  std::uint64_t maintain_changes_ = 0;
-  std::uint64_t maintain_skew_triggers_ = 0;
-  std::uint64_t maintain_backoff_skips_ = 0;
-  /// Largest equality bucket observed at the most recent zero-change
-  /// maintain pass, and its identity (EqBucketStats::largest_key); 0 =
-  /// backoff inactive. While the *same* bucket is still the largest and
-  /// is >= its zero-change size, the hot bucket that defeated the last
-  /// pass has only grown, so skew-triggered fires are suppressed —
-  /// movable late-joiners (if any) wait for the scheduled pass instead
-  /// of burning a scan per check interval. A shrink below the snapshot
-  /// or a *different* bucket taking over as largest re-arms the trigger
-  /// (see maintain_backoff_skips()).
-  std::size_t skew_backoff_largest_ = 0;
-  std::size_t skew_backoff_key_ = 0;
-  /// One-shot latch for the shrink-side re-arm: a *draining* pinned
-  /// bucket (filters removed one by one, every sample strictly below the
-  /// last) re-arms the trigger once per backoff episode, not once per
-  /// shrink sample — the first re-armed pass already proved the bucket
-  /// still pinned at the smaller size. Cleared when the largest-bucket
-  /// identity changes or any pass makes a change (a new episode).
-  bool skew_backoff_shrink_spent_ = false;
-  /// Latches true once the engine reports a nonzero equality-bucket
-  /// shape; until then skew gating falls back to the plain churn
-  /// schedule (engines without eq_bucket_stats() must not lose their
-  /// maintain() calls).
-  bool engine_reports_stats_ = false;
 };
 
 }  // namespace reef::pubsub

@@ -51,7 +51,7 @@ std::optional<Uri> Uri::parse(std::string_view text) {
   }
 
   if (path_start == std::string_view::npos) {
-    uri.path_ = "/";
+    uri.path_.assign(1, '/');
     return uri;
   }
   std::string_view tail = rest.substr(path_start);

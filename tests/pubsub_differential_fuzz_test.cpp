@@ -7,13 +7,10 @@
 // brute-force oracle at two levels:
 //
 //   1. Matcher level: match sets (per event, sorted) after every publish
-//      op, with periodic Matcher::maintain() calls interleaved so anchor
-//      rebalancing is fuzzed in the loop (maintenance must never change a
-//      match set).
+//      op.
 //   2. Broker/sim level: full overlay runs where every configuration must
 //      reproduce the oracle's delivery trace and sim::Network traffic
-//      counters byte for byte — including configurations running the
-//      churn-driven maintenance path aggressively.
+//      counters byte for byte.
 //   3. Flush-budget level: the broker's adaptive flush policy
 //      (Broker::Config::flush_max_{events,bytes,delay_ticks}) crossed
 //      with engines, asserting delivery sets and every traffic counter
@@ -448,8 +445,6 @@ std::vector<SubscriptionId> sorted(std::vector<SubscriptionId> ids) {
 
 /// Replays `schedule` through `engine` in lockstep with a fresh
 /// brute-force oracle, comparing match sets after every publish op.
-/// Every 16 ops the engine (never the oracle) runs maintain(4), so anchor
-/// rebalancing interleaves with churn and must stay invisible.
 void replay_against_oracle(const Schedule& schedule, Matcher& engine,
                            const std::string& label, std::uint64_t seed) {
   BruteForceMatcher oracle;
@@ -491,7 +486,6 @@ void replay_against_oracle(const Schedule& schedule, Matcher& engine,
         break;
       }
     }
-    if (op_index % 16 == 0) engine.maintain(4);
   }
   EXPECT_EQ(engine.size(), oracle.size()) << label << " seed=" << seed;
 }
@@ -588,16 +582,15 @@ TEST(DifferentialFuzz, OverlayTracesIdenticalAcrossEngineShardWorkerPrefilter) {
   for (const std::uint64_t seed : fuzz_seeds()) {
     const Schedule schedule = make_schedule(seed, 100);
 
-    // Oracle: brute force, unsharded, maintenance off.
+    // Oracle: brute force, unsharded.
     Broker::Config oracle_config;
     oracle_config.matcher_engine = "brute-force";
-    oracle_config.maintain_churn_threshold = 0;
     const RunTrace oracle =
         run_schedule_through_overlay(schedule, seed, oracle_config);
     ASSERT_FALSE(oracle.delivery_log.empty()) << "seed=" << seed;
 
     for (const std::string engine :
-         {"brute-force", "anchor-index", "counting", "bitset"}) {
+         {"brute-force", "anchor-index", "bitset"}) {
       for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
         for (const std::size_t workers : {std::size_t{0}, std::size_t{4}}) {
           for (const bool prefilter : {false, true}) {
@@ -606,11 +599,6 @@ TEST(DifferentialFuzz, OverlayTracesIdenticalAcrossEngineShardWorkerPrefilter) {
             config.shard_count = shards;
             config.worker_threads = workers;
             config.prefilter_enabled = prefilter;
-            // Aggressive churn-driven maintenance: the production
-            // rebalance path must run mid-schedule without disturbing a
-            // single byte of the trace.
-            config.maintain_churn_threshold = 16;
-            config.maintain_max_bucket = 4;
             const RunTrace trace =
                 run_schedule_through_overlay(schedule, seed, config);
             const std::string label =
@@ -663,20 +651,17 @@ TEST(DifferentialFuzz, FlushBudgetsPreserveDeliverySetsAndCounters) {
 
     Broker::Config oracle_config;
     oracle_config.matcher_engine = "brute-force";
-    oracle_config.maintain_churn_threshold = 0;
     const RunTrace oracle =
         run_schedule_through_overlay(schedule, seed, oracle_config);
     ASSERT_FALSE(oracle.delivery_log.empty()) << "seed=" << seed;
     std::vector<std::string> oracle_sorted = oracle.delivery_log;
     std::sort(oracle_sorted.begin(), oracle_sorted.end());
 
-    for (const std::string engine : {"anchor-index", "counting", "bitset"}) {
+    for (const std::string engine : {"anchor-index", "bitset"}) {
       for (const BudgetCase& budget : budgets) {
         Broker::Config config;
         config.matcher_engine = "sharded:" + engine;
         config.shard_count = 4;
-        config.maintain_churn_threshold = 16;
-        config.maintain_max_bucket = 4;
         config.flush_max_events = budget.max_events;
         config.flush_max_bytes = budget.max_bytes;
         config.flush_max_delay_ticks = budget.max_delay;
@@ -861,7 +846,6 @@ TEST(DifferentialFuzz, FaultScheduleConvergesToNeverFaultedOracle) {
 
     Broker::Config base;
     base.matcher_engine = "brute-force";
-    base.maintain_churn_threshold = 0;
     base.reliable_control = true;
     // Broker-broker links run at 10ms latency (Overlay::link default), so
     // the worst acked RTT with jitter is ~25ms; 60ms keeps the
@@ -882,8 +866,8 @@ TEST(DifferentialFuzz, FaultScheduleConvergesToNeverFaultedOracle) {
     const std::vector<EngineRow> rows = {
         {"anchor-index", 1, 0, 0},
         {"anchor-index", 4, 4, 3 * sim::kMillisecond},
-        {"counting", 4, 0, 0},
-        {"counting", 1, 4, 3 * sim::kMillisecond},
+        {"bitset", 4, 0, 0},
+        {"bitset", 1, 4, 3 * sim::kMillisecond},
         {"bitset", 4, 4, 0},
         {"bitset", 1, 0, 3 * sim::kMillisecond},
     };
@@ -892,8 +876,6 @@ TEST(DifferentialFuzz, FaultScheduleConvergesToNeverFaultedOracle) {
       config.matcher_engine = std::string("sharded:") + row.engine;
       config.shard_count = row.shards;
       config.worker_threads = row.workers;
-      config.maintain_churn_threshold = 16;
-      config.maintain_max_bucket = 4;
       config.flush_max_delay_ticks = row.flush_delay;
       const FaultRun faulted =
           run_schedule_with_faults(schedule, seed, config, plan, true);
@@ -1149,7 +1131,6 @@ TEST(DifferentialFuzz, ScoredDeliveryMatchesScoredOracleAcrossConfigs) {
     // Overlay oracle: brute force, unsharded, per-tick flush, scoring on.
     Broker::Config oracle_config;
     oracle_config.matcher_engine = "brute-force";
-    oracle_config.maintain_churn_threshold = 0;
     oracle_config.scoring_enabled = true;
     const ScoredRun oracle =
         run_scored_schedule(schedule, seed, oracle_config);
@@ -1171,14 +1152,12 @@ TEST(DifferentialFuzz, ScoredDeliveryMatchesScoredOracleAcrossConfigs) {
     const std::vector<ScoredRow> rows = {
         {1, 0, 0}, {4, 4, 0}, {4, 0, 3 * sim::kMillisecond}};
     for (const std::string engine :
-         {"brute-force", "anchor-index", "counting", "bitset"}) {
+         {"brute-force", "anchor-index", "bitset"}) {
       for (const ScoredRow& row : rows) {
         Broker::Config config;
         config.matcher_engine = "sharded:" + engine;
         config.shard_count = row.shards;
         config.worker_threads = row.workers;
-        config.maintain_churn_threshold = 16;
-        config.maintain_max_bucket = 4;
         config.flush_max_delay_ticks = row.flush_delay;
         config.scoring_enabled = true;
         const ScoredRun run = run_scored_schedule(schedule, seed, config);
@@ -1234,8 +1213,6 @@ TEST(DifferentialFuzz, NeutralScoringByteIdenticalToDisabled) {
           config.shard_count = 4;
           config.worker_threads = 4;
         }
-        config.maintain_churn_threshold = 16;
-        config.maintain_max_bucket = 4;
         const RunTrace off =
             run_schedule_through_overlay(schedule, seed, config);
         Broker::Config scored_config = config;

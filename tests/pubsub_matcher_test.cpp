@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 
 #include "pubsub/matcher.h"
 #include "pubsub/matcher_registry.h"
 #include "pubsub/sharded_matcher.h"
-#include "util/hash.h"
 #include "util/rng.h"
 
 namespace reef::pubsub {
@@ -136,7 +134,7 @@ TEST(IndexMatcher, InSetAnchorsAcrossMemberBuckets) {
   EXPECT_EQ(m.in_anchored(), 1u);
   m.remove(2);
   EXPECT_EQ(m.in_anchored(), 0u);
-  EXPECT_EQ(m.eq_bucket_stats().filters, 0u);
+  EXPECT_TRUE(m.match(Event().with("p", 1)).empty());
 }
 
 TEST(IndexMatcher, SuffixAnchorProbesEveryPatternLength) {
@@ -197,7 +195,7 @@ TEST(Matcher, EmptyPatternsMatchEveryStringOnEveryEngine) {
   // remove_prefix_length underflow path that used to decrement a missing
   // length entry.
   for (const std::string name :
-       {"brute-force", "anchor-index", "counting", "bitset"}) {
+       {"brute-force", "anchor-index", "bitset"}) {
     const auto m = make_matcher(name);
     m->add(1, Filter().and_(prefix("t", "")));
     m->add(2, Filter().and_(suffix("t", "")));
@@ -353,60 +351,21 @@ TEST(IndexMatcher, AnchorsAvoidNonSelectiveAttribute) {
   EXPECT_EQ(hits.size(), 2u);
 }
 
-// --- CountingMatcher -------------------------------------------------------
-
-TEST(CountingMatcher, BasicMatchAndPostingBookkeeping) {
-  CountingMatcher m;
-  m.add(1, stock_filter("ACME", 10.0));
-  m.add(2, stock_filter("ACME", 20.0));
-  m.add(3, stock_filter("XYZ", 5.0));
-  EXPECT_EQ(m.posting_count(), 6u);
-
-  auto hits = m.match(Event().with("sym", "ACME").with("price", 15.0));
-  std::sort(hits.begin(), hits.end());
-  EXPECT_EQ(hits, (std::vector<SubscriptionId>{1}));
-
-  // Partially satisfied filters must not fire: sym matches, price absent.
-  EXPECT_TRUE(m.match(Event().with("sym", "ACME")).empty());
-
-  m.remove(2);
-  EXPECT_EQ(m.posting_count(), 4u);
-  hits = m.match(Event().with("sym", "ACME").with("price", 25.0));
-  std::sort(hits.begin(), hits.end());
-  EXPECT_EQ(hits, (std::vector<SubscriptionId>{1}));
-}
-
-TEST(CountingMatcher, UniversalAndCrossTypeNumerics) {
-  CountingMatcher m;
-  m.add(1, Filter());  // universal
-  m.add(2, Filter().and_(eq("p", 3)));
-  EXPECT_EQ(m.match(Event()).size(), 1u);
-  auto hits = m.match(Event().with("p", 3.0));
-  std::sort(hits.begin(), hits.end());
-  EXPECT_EQ(hits, (std::vector<SubscriptionId>{1, 2}));
-}
-
-TEST(CountingMatcher, RangeOnOneAttributeNeedsBothConstraints) {
-  CountingMatcher m;
-  m.add(1, Filter().and_(gt("p", 5)).and_(lt("p", 10)));
-  EXPECT_EQ(m.match(Event().with("p", 7)).size(), 1u);
-  EXPECT_TRUE(m.match(Event().with("p", 4)).empty());
-  EXPECT_TRUE(m.match(Event().with("p", 12)).empty());
-}
-
 // --- MatcherRegistry -------------------------------------------------------
 
 TEST(MatcherRegistry, BuiltInEnginesByName) {
   auto& registry = MatcherRegistry::instance();
   const auto names = registry.names();
-  EXPECT_TRUE(std::find(names.begin(), names.end(), "brute-force") !=
-              names.end());
-  EXPECT_TRUE(std::find(names.begin(), names.end(), "anchor-index") !=
-              names.end());
-  EXPECT_TRUE(std::find(names.begin(), names.end(), "counting") !=
-              names.end());
-  EXPECT_TRUE(std::find(names.begin(), names.end(), "bitset") !=
-              names.end());
+  // Other tests in this file register "test-only-*" engines at runtime;
+  // everything else in the registry must be a built-in.
+  std::vector<std::string> built_ins;
+  for (const auto& name : names) {
+    if (!name.starts_with("test-only-")) built_ins.push_back(name);
+  }
+  EXPECT_EQ(built_ins,
+            (std::vector<std::string>{"anchor-index", "bitset", "brute-force",
+                                      "sharded:anchor-index", "sharded:bitset",
+                                      "sharded:brute-force"}));
   for (const auto& name : names) {
     const auto matcher = registry.create(name);
     ASSERT_NE(matcher, nullptr);
@@ -415,6 +374,23 @@ TEST(MatcherRegistry, BuiltInEnginesByName) {
   EXPECT_EQ(make_matcher("anchor-index")->name(), "anchor-index");
   EXPECT_THROW(make_matcher("definitely-not-an-engine"),
                std::invalid_argument);
+}
+
+TEST(MatcherRegistry, RetiredCountingEngineIsUnknown) {
+  for (const std::string name : {"counting", "sharded:counting"}) {
+    try {
+      make_matcher(name);
+      ADD_FAILURE() << name << " still resolves to an engine";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unknown matcher engine \"" + name + "\""),
+                std::string::npos)
+          << what;
+      for (const char* known : {"anchor-index", "bitset", "brute-force"}) {
+        EXPECT_NE(what.find(known), std::string::npos) << what;
+      }
+    }
+  }
 }
 
 TEST(MatcherRegistry, RuntimeRegistrationIsVisible) {
@@ -503,8 +479,7 @@ TEST_P(MatcherEquivalence, AllEnginesAgreeWithBruteForceUnderChurn) {
   util::Rng rng(GetParam());
   BruteForceMatcher brute;
   std::vector<std::unique_ptr<Matcher>> engines;
-  for (const auto& name : {"anchor-index", "counting", "bitset",
-                           "sharded:anchor-index", "sharded:counting",
+  for (const auto& name : {"anchor-index", "bitset", "sharded:anchor-index",
                            "sharded:bitset"}) {
     engines.push_back(make_matcher(name));
   }
@@ -549,9 +524,8 @@ TEST_P(MatcherEquivalence, MatchBatchEqualsPerEventMatch) {
   // test-only engine in the process-wide registry, and coverage here must
   // not depend on test execution order.
   for (const std::string name :
-       {"brute-force", "anchor-index", "counting", "bitset",
-        "sharded:brute-force", "sharded:anchor-index", "sharded:counting",
-        "sharded:bitset"}) {
+       {"brute-force", "anchor-index", "bitset", "sharded:brute-force",
+        "sharded:anchor-index", "sharded:bitset"}) {
     const auto engine = make_matcher(name);
     for (std::size_t i = 0; i < filters.size(); ++i) {
       engine->add(i + 1, filters[i]);
@@ -583,7 +557,7 @@ TEST_P(MatcherEquivalence, MatchBatchEqualsPerEventMatch) {
 /// because the sharded merge is by shard index, never thread schedule.
 TEST_P(MatcherEquivalence, ShardedAgreesWithUnshardedAcrossWorkerCounts) {
   util::Rng rng(GetParam() ^ 0x51a8d);
-  for (const std::string inner : {"anchor-index", "counting", "bitset"}) {
+  for (const std::string inner : {"anchor-index", "bitset"}) {
     BruteForceMatcher oracle;
     const auto unsharded = make_matcher(inner);
     std::vector<std::unique_ptr<ShardedMatcher>> sharded;
@@ -687,8 +661,7 @@ TEST(ShardedMatcher, RejectsNestedShardingAndZeroShards) {
 TEST(ShardedMatcher, RegistryExposesShardedVariants) {
   auto& registry = MatcherRegistry::instance();
   for (const std::string name :
-       {"sharded:brute-force", "sharded:anchor-index", "sharded:counting",
-        "sharded:bitset"}) {
+       {"sharded:brute-force", "sharded:anchor-index", "sharded:bitset"}) {
     ASSERT_TRUE(registry.contains(name)) << name;
     EXPECT_EQ(registry.create(name)->name(), name);
   }
@@ -697,236 +670,10 @@ TEST(ShardedMatcher, RegistryExposesShardedVariants) {
                [] { return std::make_unique<BruteForceMatcher>(); });
   EXPECT_EQ(registry.create("sharded:test-only-inner")->name(),
             "sharded:test-only-inner");
-  EXPECT_THROW(registry.create("sharded:sharded:counting"),
+  EXPECT_THROW(registry.create("sharded:sharded:bitset"),
                std::invalid_argument);
   EXPECT_THROW(registry.create("sharded:definitely-not-an-engine"),
                std::invalid_argument);
-}
-
-// --- anchor rebalancing under adversarial churn -----------------------------
-
-TEST(IndexMatcher, RebalanceMovesLongLivedFiltersOffGrownBuckets) {
-  IndexMatcher m;
-  BruteForceMatcher oracle;
-  const auto add_both = [&](SubscriptionId id, const Filter& f) {
-    m.add(id, f);
-    oracle.add(id, f);
-  };
-  // Ballast: 8 filters per (user=i) bucket, so those buckets look
-  // expensive when the long-lived filters arrive.
-  SubscriptionId ballast = 200;
-  for (std::int64_t user = 1; user <= 8; ++user) {
-    for (int n = 0; n < 8; ++n) {
-      add_both(ballast++, Filter().and_(eq("user", user)).and_(
-                              ge("score", static_cast<std::int64_t>(n))));
-    }
-  }
-  // Long-lived filters anchor on (hot=1): at add time that bucket (size
-  // 0..7) is strictly smaller than their (user=i) alternative (size 8).
-  for (SubscriptionId id = 1; id <= 8; ++id) {
-    add_both(id, Filter()
-                     .and_(eq("hot", 1))
-                     .and_(eq("user", static_cast<std::int64_t>(id))));
-    ASSERT_EQ(m.anchor_attribute(id), "hot") << id;
-  }
-  // Adversarial churn: (hot=1) then grows with single-constraint filters
-  // that have nowhere else to anchor; the long-lived filters are stuck on
-  // what has become the hottest bucket in the index.
-  for (SubscriptionId id = 100; id < 140; ++id) {
-    add_both(id, Filter().and_(eq("hot", 1)));
-  }
-  EXPECT_EQ(m.largest_eq_bucket(), 48u);
-
-  // Long-lived filters still match correctly from the hot bucket.
-  const Event event = Event().with("hot", 1).with("user", 3);
-  auto expected = oracle.match(event);
-  auto actual = m.match(event);
-  std::sort(expected.begin(), expected.end());
-  std::sort(actual.begin(), actual.end());
-  ASSERT_EQ(actual, expected);
-
-  // A rebalance pass moves every filter with an alternative anchor out.
-  const std::size_t moved = m.rebalance(/*max_bucket=*/8);
-  EXPECT_EQ(moved, 8u);
-  for (SubscriptionId id = 1; id <= 8; ++id) {
-    EXPECT_EQ(m.anchor_attribute(id), "user") << id;
-  }
-  // Documented residual skew: the 40 single-constraint filters are pinned
-  // to (hot=1) — no rebalance can shrink that bucket below their count.
-  EXPECT_EQ(m.largest_eq_bucket(), 40u);
-  // A second pass finds only pinned filters and moves nothing.
-  EXPECT_EQ(m.rebalance(/*max_bucket=*/8), 0u);
-
-  // Matching is unchanged by re-anchoring.
-  for (const Event& probe :
-       {event, Event().with("hot", 1),
-        Event().with("user", 5).with("score", 3)}) {
-    auto want = oracle.match(probe);
-    auto got = m.match(probe);
-    std::sort(want.begin(), want.end());
-    std::sort(got.begin(), got.end());
-    ASSERT_EQ(got, want) << probe.to_string();
-  }
-}
-
-TEST(IndexMatcher, EqBucketStatsStayExactUnderChurn) {
-  // eq_bucket_stats() is maintained incrementally (satellite of the bitset
-  // PR); this pins it against a recomputed-from-scratch oracle through a
-  // few hundred add/remove rounds. Single-eq filters force the anchor, so
-  // the oracle knows exactly which bucket every subscription lives in.
-  util::Rng rng(0x57a75);
-  IndexMatcher m;
-  struct LiveSub {
-    std::string attr;
-    std::int64_t value;
-  };
-  std::map<SubscriptionId, LiveSub> live;
-  SubscriptionId next = 1;
-  for (int round = 0; round < 300; ++round) {
-    if (live.empty() || rng.chance(0.6)) {
-      const std::string attr(1, static_cast<char>('a' + rng.index(3)));
-      const auto value = static_cast<std::int64_t>(rng.index(5));
-      m.add(next, Filter().and_(eq(attr, value)));
-      live.emplace(next, LiveSub{attr, value});
-      ++next;
-    } else {
-      auto it = live.begin();
-      std::advance(it, static_cast<std::ptrdiff_t>(rng.index(live.size())));
-      m.remove(it->first);
-      live.erase(it);
-    }
-    std::map<std::pair<std::string, std::int64_t>, std::size_t> buckets;
-    for (const auto& [id, sub] : live) ++buckets[{sub.attr, sub.value}];
-    std::size_t largest = 0;
-    for (const auto& [key, count] : buckets) {
-      largest = std::max(largest, count);
-    }
-    const auto stats = m.eq_bucket_stats();
-    ASSERT_EQ(stats.filters, live.size()) << "round " << round;
-    ASSERT_EQ(stats.buckets, buckets.size()) << "round " << round;
-    ASSERT_EQ(stats.largest, largest) << "round " << round;
-    if (largest == 0) {
-      ASSERT_EQ(stats.largest_key, 0u) << "round " << round;
-    } else {
-      // The reported key must name one of the max-size buckets. Keys are
-      // hash_combine(attr, hash(canonical value)) — same recipe the
-      // routing table's backoff relies on for identity comparisons.
-      bool names_a_max_bucket = false;
-      for (const auto& [key, count] : buckets) {
-        if (count != largest) continue;
-        const Constraint c = eq(key.first, key.second);
-        const std::size_t id_key = util::hash_combine(
-            c.attr_id(), std::hash<Value>{}(canonical_numeric(c.value())));
-        if (id_key == stats.largest_key) {
-          names_a_max_bucket = true;
-          break;
-        }
-      }
-      ASSERT_TRUE(names_a_max_bucket)
-          << "round " << round
-          << ": largest_key does not identify any max-size bucket";
-    }
-  }
-}
-
-// --- the Matcher::maintain hook ----------------------------------------------
-
-TEST(Matcher, MaintainDefaultsToNoOpOnEnginesWithoutAmortizedState) {
-  BruteForceMatcher brute;
-  CountingMatcher counting;
-  for (SubscriptionId id = 1; id <= 10; ++id) {
-    brute.add(id, Filter().and_(eq("hot", 1)));
-    counting.add(id, Filter().and_(eq("hot", 1)));
-  }
-  EXPECT_EQ(brute.maintain(2), 0u);
-  EXPECT_EQ(counting.maintain(2), 0u);
-}
-
-TEST(IndexMatcher, MaintainIsRebalance) {
-  // Same skew shape as the rebalance test, driven through the hook: 8
-  // ballast filters per (user=i) bucket, two-anchor filters landing on
-  // (hot=1) while it is small, then (hot=1) grows past them.
-  IndexMatcher m;
-  SubscriptionId ballast = 200;
-  for (std::int64_t user = 1; user <= 4; ++user) {
-    for (int n = 0; n < 8; ++n) {
-      m.add(ballast++, Filter().and_(eq("user", user)).and_(
-                           ge("score", static_cast<std::int64_t>(n))));
-    }
-  }
-  for (SubscriptionId id = 1; id <= 4; ++id) {
-    m.add(id, Filter()
-                  .and_(eq("hot", 1))
-                  .and_(eq("user", static_cast<std::int64_t>(id))));
-  }
-  for (SubscriptionId id = 100; id < 130; ++id) {
-    m.add(id, Filter().and_(eq("hot", 1)));
-  }
-  // Balanced threshold: nothing above max_bucket => maintain is free.
-  EXPECT_EQ(m.maintain(64), 0u);
-  // Tight threshold: the hook moves exactly the re-anchorable filters.
-  EXPECT_EQ(m.maintain(8), 4u);
-  for (SubscriptionId id = 1; id <= 4; ++id) {
-    EXPECT_EQ(m.anchor_attribute(id), "user") << id;
-  }
-}
-
-TEST(ShardedMatcher, MaintainFansOutToTheShards) {
-  // Two independent skew groups. Each group leads with exists("a<g>") —
-  // the canonically-first constraint — so the whole group shards together
-  // by that attribute, and the adversarial structure (ballast inflating
-  // the (u<g>=id) buckets, victims stranded on (h<g>=1) as growers pile
-  // in) plays out inside one inner IndexMatcher, exactly as in the
-  // unsharded rebalance test. The sharded hook must reach both groups'
-  // shards and leave matching untouched.
-  ShardedMatcher m(ShardedMatcher::Config{4, 0, "anchor-index"});
-  BruteForceMatcher oracle;
-  const auto add_both = [&](SubscriptionId id, const Filter& f) {
-    m.add(id, f);
-    oracle.add(id, f);
-  };
-  SubscriptionId next = 1;
-  std::vector<SubscriptionId> victims;
-  for (const int g : {0, 1}) {
-    const std::string suffix = std::to_string(g);
-    const std::string a = "a" + suffix;
-    const std::string h = "h" + suffix;
-    const std::string u = "u" + suffix;
-    const std::string z = "z" + suffix;
-    // Ballast: 8 filters anchored in each (u<g>=id) bucket.
-    for (std::int64_t user = 1; user <= 4; ++user) {
-      for (std::int64_t n = 0; n < 8; ++n) {
-        add_both(next++,
-                 Filter().and_(exists(a)).and_(eq(u, user)).and_(ge(z, n)));
-      }
-    }
-    // Victims anchor on (h<g>=1) while it is smaller than their (u<g>=id)
-    // alternative (size 8)...
-    for (std::int64_t user = 1; user <= 4; ++user) {
-      victims.push_back(next);
-      add_both(next++,
-               Filter().and_(exists(a)).and_(eq(h, 1)).and_(eq(u, user)));
-    }
-    // ...then (h<g>=1) grows past any threshold with pinned single-eq
-    // filters.
-    for (int i = 0; i < 20; ++i) {
-      add_both(next++, Filter().and_(exists(a)).and_(eq(h, 1)));
-    }
-  }
-  // The hook moves the 4 victims of each group off their grown buckets.
-  EXPECT_EQ(m.maintain(8), 8u);
-  // A second pass finds only pinned filters everywhere.
-  EXPECT_EQ(m.maintain(8), 0u);
-  for (const Event& probe :
-       {Event().with("a0", 1).with("h0", 1).with("u0", 2),
-        Event().with("a1", 1).with("h1", 1).with("u1", 3),
-        Event().with("a0", 1).with("u0", 1).with("z0", 5), Event()}) {
-    auto want = oracle.match(probe);
-    auto got = m.match(probe);
-    std::sort(want.begin(), want.end());
-    std::sort(got.begin(), got.end());
-    ASSERT_EQ(got, want) << probe.to_string();
-  }
 }
 
 }  // namespace

@@ -358,308 +358,5 @@ TEST(RoutingTable, EngineSelectedThroughRegistry) {
       std::invalid_argument);
 }
 
-// --- churn-driven structural maintenance -------------------------------------
-
-TEST(RoutingTable, ChurnTriggersMaintainOnSchedule) {
-  RoutingTable::Config config;
-  config.engine = "anchor-index";
-  config.maintain_churn_threshold = 10;
-  config.maintain_max_bucket = 4;
-  config.maintain_skew_ratio = 0;  // churn-count-only scheduling under test
-  RoutingTable table(config);
-  EXPECT_EQ(table.maintain_runs(), 0u);
-  // 25 adds = two full churn windows of 10 (plus 5 left over).
-  for (SubscriptionId id = 1; id <= 25; ++id) {
-    table.client_subscribe(kClient, id,
-                           Filter().and_(eq("hot", 1)).and_(
-                               eq("user", static_cast<std::int64_t>(id))));
-  }
-  EXPECT_EQ(table.maintain_runs(), 2u);
-  // Removes count toward the same budget: 5 pending + 5 removes trips it.
-  for (SubscriptionId id = 1; id <= 5; ++id) {
-    table.client_unsubscribe(kClient, id);
-  }
-  EXPECT_EQ(table.maintain_runs(), 3u);
-}
-
-TEST(RoutingTable, MaintainMovesStrandedAnchorsWithoutChangingMatches) {
-  // Adversarial churn shaped like the IndexMatcher rebalance test, driven
-  // purely through the production subscribe/unsubscribe path: ballast
-  // inflates the (user=i) buckets, two-anchor filters land on (hot=1)
-  // while it is cheap, then single-anchor filters pile onto it. The
-  // maintained table must re-anchor the stranded filters (changes > 0)
-  // and keep matching identical to an unmaintained twin.
-  RoutingTable::Config maintained_config;
-  maintained_config.engine = "anchor-index";
-  maintained_config.maintain_churn_threshold = 8;
-  maintained_config.maintain_max_bucket = 4;
-  maintained_config.maintain_skew_ratio = 0;  // maintain on every window
-  RoutingTable maintained(maintained_config);
-  RoutingTable::Config plain_config;
-  plain_config.engine = "anchor-index";
-  plain_config.maintain_churn_threshold = 0;  // ablation baseline
-  RoutingTable plain(plain_config);
-
-  SubscriptionId next = 1;
-  const auto subscribe_both = [&](const Filter& f) {
-    maintained.client_subscribe(kClient, next, f);
-    plain.client_subscribe(kClient, next, f);
-    ++next;
-  };
-  for (std::int64_t user = 1; user <= 6; ++user) {
-    for (std::int64_t n = 0; n < 8; ++n) {
-      subscribe_both(Filter().and_(eq("user", user)).and_(ge("score", n)));
-    }
-  }
-  for (std::int64_t user = 1; user <= 6; ++user) {
-    subscribe_both(Filter().and_(eq("hot", 1)).and_(eq("user", user)));
-  }
-  for (int i = 0; i < 30; ++i) {
-    subscribe_both(Filter().and_(eq("hot", 1)));
-  }
-  EXPECT_GT(maintained.maintain_runs(), 0u);
-  EXPECT_GT(maintained.maintain_changes(), 0u);
-  EXPECT_EQ(plain.maintain_runs(), 0u);
-
-  const auto destinations = [](const RoutingTable& table, const Event& e) {
-    std::vector<RoutingTable::Destination> hits;
-    table.match(e, hits);
-    std::vector<SubscriptionId> subs;
-    for (const auto& d : hits) subs.push_back(d.client_sub);
-    std::sort(subs.begin(), subs.end());
-    return subs;
-  };
-  for (const Event& probe :
-       {Event().with("hot", 1).with("user", 3),
-        Event().with("user", 2).with("score", 5), Event().with("hot", 1)}) {
-    EXPECT_EQ(destinations(maintained, probe), destinations(plain, probe))
-        << probe.to_string();
-  }
-}
-
-// --- skew-triggered maintenance ----------------------------------------------
-
-TEST(RoutingTable, SkewTriggerSkipsMaintainOnBalancedWorkload) {
-  // Distinct single-value equality buckets: largest == mean == 1, so no
-  // churn window ever finds skew and every scheduled pass is skipped —
-  // the no-op passes the skew trigger exists to cut.
-  RoutingTable::Config config;
-  config.engine = "anchor-index";
-  config.maintain_churn_threshold = 10;
-  config.maintain_max_bucket = 4;
-  config.maintain_skew_ratio = 4;
-  RoutingTable table(config);
-  for (SubscriptionId id = 1; id <= 35; ++id) {
-    table.client_subscribe(kClient, id,
-                           Filter().and_(eq("user",
-                                            static_cast<std::int64_t>(id))));
-  }
-  EXPECT_EQ(table.maintain_runs(), 0u);
-  EXPECT_EQ(table.maintain_skew_triggers(), 0u);
-}
-
-TEST(RoutingTable, SkewUnderRebalanceBoundNeverFires) {
-  // Ratio-skewed but under maintain_max_bucket: one bucket of ~12 filters
-  // over a singleton mean trips the ratio, yet rebalance only moves
-  // filters out of buckets larger than max_bucket — a pass would be a
-  // provable no-op, so neither the early trigger nor the scheduled pass
-  // may burn one. (Regression: an earlier cut fired on ratio alone and
-  // re-ran a no-op maintain every check interval, forever.)
-  RoutingTable::Config config;
-  config.engine = "anchor-index";
-  config.maintain_churn_threshold = 16;
-  config.maintain_max_bucket = 64;
-  config.maintain_skew_ratio = 8;
-  RoutingTable table(config);
-  SubscriptionId next = 1;
-  for (int i = 0; i < 12; ++i) {
-    table.client_subscribe(kClient, next++, Filter().and_(eq("hot", 1)));
-  }
-  for (int i = 0; i < 60; ++i) {
-    table.client_subscribe(kClient, next++,
-                           Filter().and_(eq("user",
-                                            static_cast<std::int64_t>(i))));
-  }
-  EXPECT_EQ(table.maintain_runs(), 0u);
-  EXPECT_EQ(table.maintain_skew_triggers(), 0u);
-}
-
-TEST(RoutingTable, SkewTriggerFiresMaintainBeforeChurnThreshold) {
-  // One bucket (hot=1) grows while the rest stay at size 1. The skew
-  // check samples every threshold/8 = 10 churn ops, so the first pass
-  // fires as soon as largest > ratio * mean — far before the 80-op churn
-  // window that pure churn-count scheduling would wait for.
-  RoutingTable::Config config;
-  config.engine = "anchor-index";
-  config.maintain_churn_threshold = 80;
-  config.maintain_max_bucket = 4;
-  config.maintain_skew_ratio = 4;
-  RoutingTable table(config);
-  SubscriptionId next = 1;
-  for (int i = 0; i < 9; ++i) {
-    table.client_subscribe(kClient, next,
-                           Filter().and_(eq("user",
-                                            static_cast<std::int64_t>(next))));
-    ++next;
-  }
-  std::size_t ops = 9;
-  while (table.maintain_skew_triggers() == 0 && ops < 60) {
-    table.client_subscribe(kClient, next++, Filter().and_(eq("hot", 1)));
-    ++ops;
-  }
-  EXPECT_GE(table.maintain_skew_triggers(), 1u);
-  EXPECT_GE(table.maintain_runs(), 1u);
-  EXPECT_LT(ops, config.maintain_churn_threshold)
-      << "skew trigger should fire before the churn window closes";
-
-  // The trigger only reschedules maintenance; matching is untouched.
-  std::vector<RoutingTable::Destination> hits;
-  table.match(Event().with("hot", 1), hits);
-  EXPECT_EQ(hits.size(), ops - 9);
-}
-
-TEST(RoutingTable, BalancedButOversizedBucketsStillGetScheduledMaintenance) {
-  // Four hot buckets growing in lockstep: the largest/mean ratio never
-  // trips (they are all the same size), but every bucket exceeds
-  // maintain_max_bucket, so rebalance has real work — the scheduled pass
-  // must run, not be skipped as "balanced". Regression pin for the skip
-  // being exact (skip only when no bucket exceeds the rebalance bound).
-  RoutingTable::Config config;
-  config.engine = "anchor-index";
-  config.maintain_churn_threshold = 10;
-  config.maintain_max_bucket = 2;
-  config.maintain_skew_ratio = 100;  // ratio alone would never fire
-  RoutingTable table(config);
-  SubscriptionId next = 1;
-  // One two-eq filter per hot attribute first (anchors on the then-empty
-  // hot bucket), then uniform piles of pinned single-eq filters.
-  for (int k = 0; k < 4; ++k) {
-    table.client_subscribe(kClient, next++,
-                           Filter()
-                               .and_(eq("h" + std::to_string(k), 1))
-                               .and_(eq("user",
-                                        static_cast<std::int64_t>(100 + k))));
-  }
-  for (int i = 0; i < 36; ++i) {
-    table.client_subscribe(kClient, next++,
-                           Filter().and_(eq("h" + std::to_string(i % 4), 1)));
-  }
-  EXPECT_EQ(table.maintain_skew_triggers(), 0u);
-  EXPECT_GT(table.maintain_runs(), 0u);
-  // The stranded two-eq filters were re-anchored onto their user buckets.
-  EXPECT_GT(table.maintain_changes(), 0u);
-}
-
-TEST(RoutingTable, SkewBackoffStopsRefiringOnPinnedHotBucket) {
-  // Single-eq filters (eq(hot, 1) and nothing else) are pinned: rebalance
-  // cannot re-anchor them anywhere. Without backoff the skew trigger
-  // re-fires a futile maintain every threshold/8 churn ops forever; with
-  // it, the first zero-change pass stands the trigger down and
-  // maintain_skew_triggers() stops climbing while the bucket only grows.
-  RoutingTable::Config config;
-  config.engine = "anchor-index";
-  config.maintain_churn_threshold = 80;
-  config.maintain_max_bucket = 4;
-  config.maintain_skew_ratio = 4;
-  RoutingTable table(config);
-  SubscriptionId next = 1;
-  for (int i = 0; i < 9; ++i) {
-    table.client_subscribe(kClient, next,
-                           Filter().and_(eq("user",
-                                            static_cast<std::int64_t>(next))));
-    ++next;
-  }
-  std::vector<SubscriptionId> pinned;
-  for (int i = 0; i < 120; ++i) {
-    pinned.push_back(next);
-    table.client_subscribe(kClient, next++, Filter().and_(eq("hot", 1)));
-  }
-  EXPECT_EQ(table.maintain_skew_triggers(), 1u)
-      << "exactly one early fire; the zero-change pass must back off";
-  EXPECT_GT(table.maintain_backoff_skips(), 0u);
-  // Scheduled passes are never suppressed: repair stays guaranteed at the
-  // churn cadence even while the trigger is standing down.
-  EXPECT_GE(table.maintain_runs(), 2u);
-  EXPECT_EQ(table.maintain_changes(), 0u);
-
-  // A *different* bucket overtaking the pinned one must re-arm the
-  // trigger: the backoff tracks bucket identity, not just size, because
-  // the newcomer could be movable. (Here it is pinned too, so the table
-  // fires exactly once more, then backs off on the new bucket.)
-  std::vector<SubscriptionId> warm;
-  for (int i = 0; i < 140; ++i) {
-    warm.push_back(next);
-    table.client_subscribe(kClient, next++, Filter().and_(eq("warm", 1)));
-  }
-  EXPECT_EQ(table.maintain_skew_triggers(), 2u)
-      << "the overtaking warm bucket must fire once, then back off";
-
-  // Shrinking the now-largest bucket below the zero-change snapshot
-  // re-arms the trigger as well: the next sampled skew check may fire.
-  for (std::size_t i = 0; i < warm.size() - 10; ++i) {
-    table.client_unsubscribe(kClient, warm[i]);
-  }
-  EXPECT_GE(table.maintain_skew_triggers(), 3u);
-}
-
-TEST(RoutingTable, ShrinkSideBackoffReArmsOncePerEpisode) {
-  // Regression pin for the shrink-side re-arm being one-shot. A pinned
-  // hot bucket *draining* one filter at a time is strictly smaller at
-  // every skew sample; the old re-arm condition (largest < snapshot)
-  // bought a futile maintain pass per sample for the whole drain. Fixed:
-  // the first re-armed pass proves the bucket is still pinned at the
-  // smaller size, and the episode's shrink re-arm is spent until the
-  // largest-bucket identity changes or a pass moves something.
-  RoutingTable::Config config;
-  config.engine = "anchor-index";
-  config.maintain_churn_threshold = 80;
-  config.maintain_max_bucket = 4;
-  config.maintain_skew_ratio = 4;
-  RoutingTable table(config);
-  SubscriptionId next = 1;
-  for (int i = 0; i < 9; ++i) {
-    table.client_subscribe(kClient, next,
-                           Filter().and_(eq("user",
-                                            static_cast<std::int64_t>(next))));
-    ++next;
-  }
-  std::vector<SubscriptionId> pinned;
-  for (int i = 0; i < 100; ++i) {
-    pinned.push_back(next);
-    table.client_subscribe(kClient, next++, Filter().and_(eq("hot", 1)));
-  }
-  ASSERT_EQ(table.maintain_skew_triggers(), 1u);
-  const std::uint64_t skips_before_drain = table.maintain_backoff_skips();
-
-  // Drain 60 pinned filters one by one — six strictly-shrinking skew
-  // samples (plus one scheduled pass mid-drain). Exactly one of them may
-  // re-fire the trigger; every later shrinking sample stays suppressed.
-  for (int i = 0; i < 60; ++i) {
-    table.client_unsubscribe(kClient, pinned[static_cast<std::size_t>(i)]);
-  }
-  EXPECT_EQ(table.maintain_skew_triggers(), 2u)
-      << "a draining pinned bucket must re-arm once, not once per sample";
-  EXPECT_GT(table.maintain_backoff_skips(), skips_before_drain)
-      << "post-re-arm shrinking samples are suppressed, and counted";
-  EXPECT_EQ(table.maintain_changes(), 0u);
-}
-
-TEST(RoutingTable, SkewRatioZeroKeepsChurnCountScheduling) {
-  // Ablation: ratio 0 must reproduce the PR 3 unconditional schedule even
-  // on a perfectly balanced workload.
-  RoutingTable::Config config;
-  config.engine = "anchor-index";
-  config.maintain_churn_threshold = 10;
-  config.maintain_skew_ratio = 0;
-  RoutingTable table(config);
-  for (SubscriptionId id = 1; id <= 20; ++id) {
-    table.client_subscribe(kClient, id,
-                           Filter().and_(eq("user",
-                                            static_cast<std::int64_t>(id))));
-  }
-  EXPECT_EQ(table.maintain_runs(), 2u);
-  EXPECT_EQ(table.maintain_skew_triggers(), 0u);
-}
-
 }  // namespace
 }  // namespace reef::pubsub

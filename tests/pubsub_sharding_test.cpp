@@ -264,7 +264,7 @@ TEST(ShardedPrefilter, OutputByteIdenticalOnOrOff) {
   for (int i = 0; i < 60; ++i) events.push_back(scenario_event(rng, i));
   events.push_back(Event());  // and one attribute-free event
 
-  for (const std::string inner : {"anchor-index", "counting",
+  for (const std::string inner : {"anchor-index", "bitset",
                                   "brute-force"}) {
     ShardedMatcher on(ShardedMatcher::Config{4, 0, inner, true});
     ShardedMatcher off(ShardedMatcher::Config{4, 0, inner, false});
@@ -309,8 +309,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShardingDeterminism,
 
 TEST(ShardedRoutingTable, KnobsBuildShardedEngine) {
   // shard_count/worker_threads wrap a plain engine name...
-  RoutingTable wrapped(RoutingTable::Config{true, "counting", true, 4, 2});
-  EXPECT_EQ(wrapped.matcher().name(), "sharded:counting");
+  RoutingTable wrapped(RoutingTable::Config{true, "bitset", true, 4, 2});
+  EXPECT_EQ(wrapped.matcher().name(), "sharded:bitset");
   // ...a "sharded:" name honors the knobs as given...
   RoutingTable named(
       RoutingTable::Config{true, "sharded:anchor-index", true, 2, 0});

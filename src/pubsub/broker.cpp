@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <any>
 #include <cassert>
-#include <set>
 #include <utility>
 
 #include "util/log.h"
@@ -296,31 +295,57 @@ void Broker::on_publish_batch(sim::NodeId from, const PublishBatchMsg& msg) {
 
 void Broker::route_event(sim::NodeId from, const Event& event,
                          const std::vector<RoutingTable::Destination>& hits) {
-  // Group matches by interface; an event crosses each interface once.
-  // Interfaces are visited in id order and each client's matched-sub list
-  // is sorted, so the broker's output is a pure function of the match
-  // *sets* — engines (sharded or not, any worker count) that agree on the
-  // sets produce byte-identical wire traffic regardless of hit order.
-  std::map<sim::NodeId, std::vector<SubscriptionId>> client_hits;
-  std::set<sim::NodeId> broker_hits;
+  route_hits_.clear();
   for (const RoutingTable::Destination& dest : hits) {
     if (dest.iface == from) continue;  // never echo back
-    if (dest.is_broker) {
-      // Graceful degradation: no data-plane traffic into a suspected-dead
-      // neighbor's black hole. Its routes stay in the table and the
-      // quarantine lifts on its first sign of life.
-      if (quarantined_.contains(dest.iface)) continue;
-      broker_hits.insert(dest.iface);
+    // Graceful degradation: no data-plane traffic into a suspected-dead
+    // neighbor's black hole. Its routes stay in the table and the
+    // quarantine lifts on its first sign of life.
+    if (dest.is_broker && quarantined_.contains(dest.iface)) continue;
+    route_hits_.push_back(
+        RouteHit{dest.iface, dest.is_broker, false, dest.client_sub});
+  }
+  emit_route_hits(event);
+}
+
+void Broker::emit_route_hits(const Event& event) {
+  // Group by interface; an event crosses each interface once. Neighbor
+  // brokers come first, then clients, each in interface-id order, and a
+  // client's matched-sub list is sorted — so the broker's output is a
+  // pure function of the match *sets*: engines (sharded or not, any
+  // worker count) that agree on the sets produce byte-identical wire
+  // traffic regardless of hit order. One sort plus one linear pass; the
+  // scratch vector keeps its capacity across events.
+  std::sort(route_hits_.begin(), route_hits_.end(),
+            [](const RouteHit& a, const RouteHit& b) {
+              if (a.is_broker != b.is_broker) return a.is_broker;
+              if (a.iface != b.iface) return a.iface < b.iface;
+              return a.sub < b.sub;
+            });
+  for (auto group = route_hits_.begin(); group != route_hits_.end();) {
+    const auto end = std::find_if(group, route_hits_.end(),
+                                  [iface = group->iface](const RouteHit& hit) {
+                                    return hit.iface != iface;
+                                  });
+    if (group->is_broker) {
+      enqueue_publish(group->iface, event);
     } else {
-      client_hits[dest.iface].push_back(dest.client_sub);
+      // Scores ride along only when some matched subscription is scored;
+      // they are parallel to the subs and never affect their order.
+      const bool any_scored = std::any_of(
+          group, end, [](const RouteHit& hit) { return hit.scored; });
+      std::vector<SubscriptionId> subs;
+      std::vector<double> scores;
+      subs.reserve(static_cast<std::size_t>(end - group));
+      if (any_scored) scores.reserve(subs.capacity());
+      for (auto hit = group; hit != end; ++hit) {
+        subs.push_back(hit->sub);
+        if (any_scored) scores.push_back(hit->score);
+      }
+      enqueue_delivery(group->iface, event, std::move(subs),
+                       std::move(scores));
     }
-  }
-  for (const sim::NodeId neighbor : broker_hits) {
-    enqueue_publish(neighbor, event);
-  }
-  for (auto& [client, subs] : client_hits) {
-    std::sort(subs.begin(), subs.end());
-    enqueue_delivery(client, event, std::move(subs));
+    group = end;
   }
 }
 
@@ -329,57 +354,78 @@ void Broker::route_event(sim::NodeId from, const Event& event,
 void Broker::route_scored(
     sim::NodeId from, std::span<const Event> events,
     const std::vector<std::vector<RoutingTable::ScoredDestination>>& hits) {
-  // Pass 1: collect, per (client, subscription) with a non-neutral policy,
-  // the scored candidates of this publication batch — the top-k window.
-  // The window is the wire-message batch, so its composition depends only
-  // on what the publisher framed together, never on engine, shard, worker,
-  // or flush-budget choices (see docs/ARCHITECTURE.md "Scored delivery").
-  struct Window {
-    const ScoringSpec* spec = nullptr;
-    std::vector<std::pair<std::uint32_t, double>> cands;  // (event idx, score)
+  // Pass 1: collect the scored candidates of this publication batch for
+  // every (client, subscription) with a non-neutral policy — one top-k
+  // window each. The window is the wire-message batch, so its composition
+  // depends only on what the publisher framed together, never on engine,
+  // shard, worker, or flush-budget choices (see docs/ARCHITECTURE.md
+  // "Scored delivery"). The windows are runs of one flat vector sorted by
+  // (client, subscription, event index), so each run lists its candidates
+  // in ascending event order.
+  struct Candidate {
+    sim::NodeId iface;
+    SubscriptionId sub;
+    std::uint32_t index;
+    double score;
+    const ScoringSpec* spec;
   };
-  std::map<std::pair<sim::NodeId, SubscriptionId>, Window> windows;
+  std::vector<Candidate> cands;
   for (std::size_t i = 0; i < events.size(); ++i) {
     for (const RoutingTable::ScoredDestination& sd : hits[i]) {
       if (sd.dest.is_broker || sd.scoring == nullptr) continue;
       if (sd.dest.iface == from) continue;  // never echo back
       ++stats_.scored_matches;
-      Window& window = windows[{sd.dest.iface, sd.dest.client_sub}];
-      window.spec = sd.scoring;
-      window.cands.emplace_back(static_cast<std::uint32_t>(i), sd.score);
+      cands.push_back(Candidate{sd.dest.iface, sd.dest.client_sub,
+                                static_cast<std::uint32_t>(i), sd.score,
+                                sd.scoring});
     }
   }
+  std::sort(cands.begin(), cands.end(),
+            [](const Candidate& a, const Candidate& b) {
+              if (a.iface != b.iface) return a.iface < b.iface;
+              if (a.sub != b.sub) return a.sub < b.sub;
+              return a.index < b.index;
+            });
   // Pass 2: per window, the min_score filter then the bounded top-k cut.
   // Ties at the cut break by ascending event order (TopKSelector), so the
   // surviving set is a pure function of the window's (event, score) pairs.
-  SuppressedSet suppressed;
-  for (auto& [key, window] : windows) {
-    TopKSelector topk(window.spec->top_k);
+  std::vector<Suppressed> suppressed;
+  for (auto window = cands.begin(); window != cands.end();) {
+    const auto end = std::find_if(window, cands.end(),
+                                  [&first = *window](const Candidate& c) {
+                                    return c.iface != first.iface ||
+                                           c.sub != first.sub;
+                                  });
+    const ScoringSpec& spec = *window->spec;
+    TopKSelector topk(spec.top_k);
     std::size_t eligible = 0;
-    for (const auto& [index, score] : window.cands) {
-      if (score < window.spec->min_score) {
+    for (auto c = window; c != end; ++c) {
+      if (c->score < spec.min_score) {
         ++stats_.suppressed_by_threshold;
-        suppressed.insert({index, key.first, key.second});
+        suppressed.push_back(Suppressed{c->index, c->iface, c->sub});
         continue;
       }
       ++eligible;
-      topk.offer(score, index);
+      topk.offer(c->score, c->index);
     }
     const std::vector<std::uint32_t> survivors = topk.take();
-    if (survivors.size() == eligible) continue;
-    stats_.suppressed_by_k += eligible - survivors.size();
-    // cands is in ascending event order and survivors is sorted, so one
-    // linear merge marks the evicted candidates.
-    std::size_t next = 0;
-    for (const auto& [index, score] : window.cands) {
-      if (score < window.spec->min_score) continue;  // marked above
-      if (next < survivors.size() && survivors[next] == index) {
-        ++next;
-        continue;
+    if (survivors.size() != eligible) {
+      stats_.suppressed_by_k += eligible - survivors.size();
+      // The window is in ascending event order and survivors is sorted,
+      // so one linear merge marks the evicted candidates.
+      std::size_t next = 0;
+      for (auto c = window; c != end; ++c) {
+        if (c->score < spec.min_score) continue;  // marked above
+        if (next < survivors.size() && survivors[next] == c->index) {
+          ++next;
+          continue;
+        }
+        suppressed.push_back(Suppressed{c->index, c->iface, c->sub});
       }
-      suppressed.insert({index, key.first, key.second});
     }
+    window = end;
   }
+  std::sort(suppressed.begin(), suppressed.end());
   // Pass 3: the boolean routing pass, per event in batch order, skipping
   // suppressed deliveries and attaching scores.
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -391,52 +437,27 @@ void Broker::route_scored(
 void Broker::route_event_scored(
     sim::NodeId from, const Event& event, std::uint32_t event_index,
     const std::vector<RoutingTable::ScoredDestination>& hits,
-    const SuppressedSet& suppressed) {
-  // Mirrors route_event: interfaces in id order, per-client sub lists
-  // sorted by id. Scores never influence grouping or order — a scored
-  // delivery leaves in exactly the position its boolean twin would have.
-  struct ClientHit {
-    SubscriptionId sub = 0;
-    double score = kConstantScore;
-    bool scored = false;  // carries a non-neutral spec
-  };
-  std::map<sim::NodeId, std::vector<ClientHit>> client_hits;
-  std::set<sim::NodeId> broker_hits;
+    const std::vector<Suppressed>& suppressed) {
+  // Mirrors route_event through the same grouping pass. Scores never
+  // influence grouping or order — a scored delivery leaves in exactly the
+  // position its boolean twin would have.
+  route_hits_.clear();
   for (const RoutingTable::ScoredDestination& sd : hits) {
     if (sd.dest.iface == from) continue;  // never echo back
     if (sd.dest.is_broker) {
       if (quarantined_.contains(sd.dest.iface)) continue;
-      broker_hits.insert(sd.dest.iface);
+    } else if (sd.scoring != nullptr &&
+               std::binary_search(
+                   suppressed.begin(), suppressed.end(),
+                   Suppressed{event_index, sd.dest.iface,
+                              sd.dest.client_sub})) {
       continue;
     }
-    if (sd.scoring != nullptr &&
-        suppressed.contains({event_index, sd.dest.iface,
-                             sd.dest.client_sub})) {
-      continue;
-    }
-    client_hits[sd.dest.iface].push_back(
-        ClientHit{sd.dest.client_sub, sd.score, sd.scoring != nullptr});
+    route_hits_.push_back(RouteHit{sd.dest.iface, sd.dest.is_broker,
+                                   sd.scoring != nullptr, sd.dest.client_sub,
+                                   sd.score});
   }
-  for (const sim::NodeId neighbor : broker_hits) {
-    enqueue_publish(neighbor, event);
-  }
-  for (auto& [client, entries] : client_hits) {
-    std::sort(entries.begin(), entries.end(),
-              [](const ClientHit& a, const ClientHit& b) {
-                return a.sub < b.sub;
-              });
-    bool any_scored = false;
-    for (const ClientHit& entry : entries) any_scored |= entry.scored;
-    std::vector<SubscriptionId> subs;
-    std::vector<double> scores;
-    subs.reserve(entries.size());
-    if (any_scored) scores.reserve(entries.size());
-    for (const ClientHit& entry : entries) {
-      subs.push_back(entry.sub);
-      if (any_scored) scores.push_back(entry.score);
-    }
-    enqueue_delivery(client, event, std::move(subs), std::move(scores));
-  }
+  emit_route_hits(event);
 }
 
 // --- adaptive output coalescing ----------------------------------------------

@@ -46,14 +46,13 @@
 //      latency-vs-throughput sweep reads both.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
-#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -277,11 +276,34 @@ class Broker final : public sim::Node {
   void route_event(sim::NodeId from, const Event& event,
                    const std::vector<RoutingTable::Destination>& hits);
 
+  /// One surviving destination of the event being routed: a neighbor
+  /// broker, or a client subscription with its score (`scored` = the
+  /// subscription carries a non-neutral spec).
+  struct RouteHit {
+    sim::NodeId iface = sim::kNoNode;
+    bool is_broker = false;
+    bool scored = false;
+    SubscriptionId sub = 0;
+    double score = kConstantScore;
+  };
+
+  /// The grouping pass shared by route_event and route_event_scored:
+  /// sorts route_hits_ and enqueues the event once per neighbor broker,
+  /// then once per client with its sorted matched-sub list (and parallel
+  /// scores when any is scored) — brokers before clients, each in
+  /// interface-id order.
+  void emit_route_hits(const Event& event);
+
   // --- scored delivery (Config::scoring_enabled) ---
   /// An (event index, client iface, client sub) triple suppressed by a
-  /// delivery policy within one publication batch.
-  using SuppressedSet =
-      std::set<std::tuple<std::uint32_t, sim::NodeId, SubscriptionId>>;
+  /// delivery policy within one publication batch; route_scored keeps
+  /// them in a sorted vector probed by binary search.
+  struct Suppressed {
+    std::uint32_t event_index = 0;
+    sim::NodeId iface = sim::kNoNode;
+    SubscriptionId sub = 0;
+    friend auto operator<=>(const Suppressed&, const Suppressed&) = default;
+  };
 
   /// The scored twin of the publish path: applies each non-neutral
   /// subscription's min_score filter and top-k cut over the *publication
@@ -302,7 +324,7 @@ class Broker final : public sim::Node {
   void route_event_scored(
       sim::NodeId from, const Event& event, std::uint32_t event_index,
       const std::vector<RoutingTable::ScoredDestination>& hits,
-      const SuppressedSet& suppressed);
+      const std::vector<Suppressed>& suppressed);
 
   /// Sends the refresh diff for `neighbor` computed by the routing table.
   void refresh_neighbor(sim::NodeId neighbor);
@@ -374,6 +396,9 @@ class Broker final : public sim::Node {
   std::map<sim::NodeId, PendingPubs> pending_pubs_;
   std::map<sim::NodeId, PendingDelivers> pending_delivers_;
   bool flush_scheduled_ = false;
+  /// Scratch for emit_route_hits, reused across events (never re-entered:
+  /// sends deliver asynchronously).
+  std::vector<RouteHit> route_hits_;
 
   Stats stats_;
 };

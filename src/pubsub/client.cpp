@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
-#include <unordered_set>
+#include <optional>
+#include <utility>
 
 #include "util/hash.h"
 #include "util/log.h"
@@ -72,19 +73,20 @@ SubscriptionId Client::subscribe_scored(Filter filter, ScoringSpec scoring,
 
 std::vector<SubscriptionId> Client::subscribe_any(
     std::vector<Filter> filters, Handler handler) {
-  // Share one dedup set across the branch subscriptions: events carry a
-  // publisher-assigned id, so an event matching several branches is
-  // delivered in one DeliverMsg listing each branch — the shared set makes
-  // the user handler fire once.
-  auto seen = std::make_shared<std::unordered_set<EventId>>();
+  // Share the last dispatched event id across the branch subscriptions:
+  // an event matching several branches arrives in one DeliverMsg listing
+  // each branch, and on_deliver dispatches that list back to back, so
+  // every repeat of an event directly follows its first dispatch. One id
+  // is enough state, and it stays bounded however long the group lives.
+  auto last = std::make_shared<std::optional<EventId>>();
   auto shared_handler = std::make_shared<Handler>(std::move(handler));
   std::vector<SubscriptionId> ids;
   ids.reserve(filters.size());
   for (auto& filter : filters) {
     ids.push_back(subscribe(
         std::move(filter),
-        [seen, shared_handler](const Event& event, SubscriptionId sub) {
-          if (!seen->insert(event.id()).second) return;
+        [last, shared_handler](const Event& event, SubscriptionId sub) {
+          if (std::exchange(*last, event.id()) == event.id()) return;
           if (*shared_handler) (*shared_handler)(event, sub);
         }));
   }

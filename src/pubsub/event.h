@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -24,8 +25,19 @@ using EventId = std::uint64_t;
 /// canonical textual form (to_string), wire size, and equality semantics
 /// are byte-for-byte identical to the original name-keyed representation
 /// (tests/pubsub_attr_table_test.cpp pins the golden strings).
+///
+/// The attribute vector is shared, immutable storage: copying an Event
+/// (into a broker's pending queue, a DeliverMsg, a client inbox) is a
+/// refcount bump plus the 8-byte id, never a vector or string copy. The
+/// id is per object, so set_id on a copy leaves the original alone.
+/// with() copies on write: it mutates in place while this Event is the
+/// storage's only owner (the fluent-construction case) and detaches onto
+/// a private copy otherwise, so no other holder ever sees a change. A
+/// moved-from or default Event owns no storage and reads as empty.
 class Event {
  public:
+  using Attrs = std::vector<std::pair<AttrId, Value>>;
+
   Event() = default;
 
   // Copies are counted (relaxed, process-global) so the zero-copy batch
@@ -45,7 +57,9 @@ class Event {
   Event& operator=(Event&&) noexcept = default;
 
   /// Process-wide count of Event copy-constructions/assignments since
-  /// start. Monotone; test code diffs it around a call under test.
+  /// start. Monotone; test code diffs it around a call under test. Each
+  /// counted copy shares its source's storage (one refcount bump), so
+  /// this counts handles taken, not attribute vectors duplicated.
   static std::uint64_t copy_count() noexcept {
     return copy_count_.load(std::memory_order_relaxed);
   }
@@ -76,14 +90,14 @@ class Event {
   const Value* find(AttrId id) const noexcept;
 
   bool has(std::string_view name) const noexcept { return find(name); }
-  std::size_t size() const noexcept { return attrs_.size(); }
-  bool empty() const noexcept { return attrs_.empty(); }
+  std::size_t size() const noexcept { return attrs().size(); }
+  bool empty() const noexcept { return size() == 0; }
 
   /// Flat attribute storage, sorted by AttrId. The matching engines'
   /// iteration surface; names are recovered via AttrTable::name when a
   /// human-readable form is needed.
-  const std::vector<std::pair<AttrId, Value>>& attrs() const noexcept {
-    return attrs_;
+  const Attrs& attrs() const noexcept {
+    return attrs_ ? *attrs_ : kNoAttrs;
   }
 
   EventId id() const noexcept { return id_; }
@@ -100,15 +114,16 @@ class Event {
   /// so comparing the id-sorted flat vectors is equivalent to comparing
   /// the original name-sorted maps.
   friend bool operator==(const Event& a, const Event& b) noexcept {
-    return a.attrs_ == b.attrs_;
+    return a.attrs_ == b.attrs_ || a.attrs() == b.attrs();
   }
 
  private:
   void set(AttrId id, Value value);
 
   static std::atomic<std::uint64_t> copy_count_;
+  static const Attrs kNoAttrs;
 
-  std::vector<std::pair<AttrId, Value>> attrs_;  // sorted by AttrId
+  std::shared_ptr<const Attrs> attrs_;  // sorted by AttrId; null = empty
   EventId id_ = 0;
 };
 

@@ -248,11 +248,17 @@ TEST(Client, SubscribeAnyDeduplicatesAcrossBranches) {
   h.settle();
   EXPECT_EQ(fired, 2);
 
+  // A second distinct event matching both branches still fires once: the
+  // dedup forgets the previous event rather than suppressing new ones.
+  pub.publish(Event().with("text", "coast braces for storm"));
+  h.settle();
+  EXPECT_EQ(fired, 3);
+
   for (const auto id : ids) sub.unsubscribe(id);
   h.settle();
   pub.publish(Event().with("text", "storm again"));
   h.settle();
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(fired, 3);
 }
 
 TEST(Broker, CrashedBrokerDropsTrafficUntilRestored) {

@@ -7,7 +7,9 @@
 // the subscription control traffic and the per-broker routing tables.
 // This bench builds a broker chain, attaches Zipf-popular feed
 // subscriptions (plus a fraction of broad covering filters), and prints
-// the with/without-covering comparison.
+// the with/without-covering comparison, then how the cost of one subscribe
+// grows with the subscription count.
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -131,6 +133,73 @@ Result run(const RunConfig& rc, std::size_t brokers, std::size_t subscribers,
     result.event_units += net.units_by_type().get(key);
     result.event_bytes += net.bytes_by_type().get(key);
   }
+  return result;
+}
+
+// --- subscription scaling: cost of one subscribe vs table size --------------
+
+struct ScaleResult {
+  double us_per_sub = 0.0;
+  double ctrl_per_sub = 0.0;
+};
+
+/// Subscribes `clients` x 5 Zipf feed filters (plus one broad stream
+/// filter on each of the first 4 clients) across an 8-broker chain and
+/// runs the simulation until the control plane is quiet. Reports the wall
+/// time per subscribe, subscribe calls and simulation together, and the
+/// broker-to-broker subscribe/unsubscribe messages per subscribe.
+ScaleResult run_scaling(bool covering, std::size_t clients) {
+  constexpr std::size_t kBrokers = 8;
+  constexpr std::size_t kPerClient = 5;
+  constexpr std::size_t kBroadClients = 4;
+  constexpr std::size_t kFeeds = 5000;
+  sim::Simulator sim;
+  sim::Network::Config net_config;
+  net_config.default_latency = sim::kMillisecond;
+  net_config.jitter_fraction = 0.0;
+  sim::Network net(sim, net_config);
+
+  pubsub::Broker::Config broker_config;
+  broker_config.covering_enabled = covering;
+  broker_config.matcher_engine = "anchor-index";
+  pubsub::Overlay overlay(sim, net, broker_config);
+  for (std::size_t i = 0; i < kBrokers; ++i) overlay.add_broker();
+  for (std::size_t i = 1; i < kBrokers; ++i) overlay.link(i - 1, i);
+
+  std::vector<std::unique_ptr<pubsub::Client>> subscribers;
+  for (std::size_t c = 0; c < clients; ++c) {
+    subscribers.push_back(std::make_unique<pubsub::Client>(
+        sim, net, "sub" + std::to_string(c)));
+    subscribers.back()->connect(overlay.broker(c % kBrokers));
+  }
+  sim.run_until(sim.now() + sim::kSecond);
+
+  util::Rng rng(99);
+  util::ZipfSampler popularity(kFeeds, 1.0);
+  std::size_t subscribes = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t c = 0; c < clients; ++c) {
+    if (c < kBroadClients) {
+      subscribers[c]->subscribe(
+          pubsub::Filter().and_(pubsub::eq("stream", "feed")));
+      ++subscribes;
+    }
+    for (std::size_t i = 0; i < kPerClient; ++i) {
+      subscribers[c]->subscribe(feed_filter_for(popularity.sample(rng)));
+      ++subscribes;
+    }
+  }
+  sim.run_until(sim.now() + sim::kMinute);
+  const std::chrono::duration<double, std::micro> elapsed =
+      std::chrono::steady_clock::now() - start;
+
+  const std::uint64_t ctrl =
+      net.messages_by_type().get(std::string(pubsub::kTypeSubscribe)) +
+      net.messages_by_type().get(std::string(pubsub::kTypeUnsubscribe));
+  ScaleResult result;
+  result.us_per_sub = elapsed.count() / static_cast<double>(subscribes);
+  result.ctrl_per_sub =
+      static_cast<double>(ctrl) / static_cast<double>(subscribes);
   return result;
 }
 
@@ -470,6 +539,32 @@ int main() {
   std::printf("\n  deliveries are identical; covering cuts control traffic "
               "and routing state, most visibly with broad subscribers.\n");
 
+  // --- subscription scaling ------------------------------------------------
+  std::printf("\n=== subscription scaling: cost of one subscribe ===\n");
+  std::printf("chain of 8 brokers, 5 Zipf feed subscriptions per client over "
+              "5,000 feeds, 4 broad subscribers; wall time covers the "
+              "subscribe calls and the simulation until quiet\n\n");
+  std::printf("  %14s | %13s %13s | %13s %13s\n", "subscriptions",
+              "cover us/sub", "cover ctl/sub", "plain us/sub",
+              "plain ctl/sub");
+  std::printf("  %s\n", std::string(76, '-').c_str());
+  bool covering_saves_ctrl = true;
+  for (const std::size_t clients : {250, 500, 1000, 2000}) {
+    const ScaleResult cover = run_scaling(true, clients);
+    const ScaleResult plain = run_scaling(false, clients);
+    std::printf("  %14s | %13.1f %13.2f | %13.1f %13.2f\n",
+                reef::util::with_commas(clients * 5).c_str(),
+                cover.us_per_sub, cover.ctrl_per_sub, plain.us_per_sub,
+                plain.ctrl_per_sub);
+    // Covering may only ever save control traffic (hard failure).
+    if (cover.ctrl_per_sub > plain.ctrl_per_sub) covering_saves_ctrl = false;
+  }
+  std::printf("\n  control messages per subscribe are deterministic; the "
+              "wall time per subscribe should stay roughly flat as the "
+              "table grows.%s\n",
+              covering_saves_ctrl ? ""
+                                  : " COVERING SENT MORE (REGRESSION!)");
+
   // --- engine x batching: wire traffic on the event path -------------------
   std::printf("\n=== engine x batching: event-path wire traffic ===\n");
   std::printf("chain of 8 brokers, 100 subscribers, 500 events in bursts "
@@ -686,12 +781,13 @@ int main() {
               "a hard failure.\n");
 
   if (!residence_monotone || !deliveries_identical || !all_converged ||
-      !topk_ok) {
+      !topk_ok || !covering_saves_ctrl) {
     std::printf("\nFAIL: sweep invariants violated (residence_monotone=%d, "
                 "deliveries_identical=%d, crash_reconvergence=%d, "
-                "topk_sweep=%d)\n",
+                "topk_sweep=%d, covering_saves_ctrl=%d)\n",
                 residence_monotone ? 1 : 0, deliveries_identical ? 1 : 0,
-                all_converged ? 1 : 0, topk_ok ? 1 : 0);
+                all_converged ? 1 : 0, topk_ok ? 1 : 0,
+                covering_saves_ctrl ? 1 : 0);
     return 1;
   }
   return 0;

@@ -48,7 +48,13 @@ RoutingTable::RoutingTable(Config config)
     : config_(std::move(config)), matcher_(make_table_matcher(config_)) {}
 
 void RoutingTable::add_broker_iface(IfaceId iface) {
-  broker_ifaces_.try_emplace(iface);
+  declare_broker_iface(iface);
+}
+
+RoutingTable::BrokerIface& RoutingTable::declare_broker_iface(IfaceId iface) {
+  const auto [it, inserted] = broker_ifaces_.try_emplace(iface);
+  if (inserted) it->second.flags.assign(records_.size(), 0);
+  return it->second;
 }
 
 void RoutingTable::add_client_iface(IfaceId iface) {
@@ -61,16 +67,19 @@ std::uint64_t RoutingTable::add_entry(Filter filter, IfaceId iface,
                                       ScoringSpec scoring) {
   const std::uint64_t engine_id = next_engine_id_++;
   matcher_->add(engine_id, filter);
-  entries_.emplace(engine_id,
-                   EngineEntry{std::move(filter), iface, from_broker,
-                               client_sub});
+  const auto it = entries_.emplace(
+      engine_id, EngineEntry{std::move(filter), iface, from_broker,
+                             client_sub}).first;
   scoring_index_.set(engine_id, std::move(scoring));  // no-op when neutral
+  add_instance(it->second.filter, iface);
   return engine_id;
 }
 
 void RoutingTable::remove_entry(std::uint64_t engine_id) {
   matcher_->remove(engine_id);
-  entries_.erase(engine_id);
+  const auto it = entries_.find(engine_id);
+  remove_instance(it->second.filter, it->second.iface);
+  entries_.erase(it);
   scoring_index_.erase(engine_id);
 }
 
@@ -98,7 +107,7 @@ bool RoutingTable::client_unsubscribe(IfaceId client, SubscriptionId sub_id) {
 }
 
 bool RoutingTable::broker_subscribe(IfaceId broker, Filter filter) {
-  auto& iface = broker_ifaces_[broker];
+  BrokerIface& iface = declare_broker_iface(broker);
   // Copy the key before add_entry moves the filter out.
   std::string key = filter.key();
   if (iface.engine_ids.contains(key)) return false;  // idempotent
@@ -125,19 +134,28 @@ bool RoutingTable::drop_broker_iface_state(IfaceId iface) {
   if (it == broker_ifaces_.end()) return false;
   BrokerIface& broker = it->second;
   const bool changed =
-      !broker.engine_ids.empty() || !broker.forwarded.empty();
+      !broker.engine_ids.empty() || broker.forwarded_count != 0;
+  // Its desired set is recomputed at the next refresh, which then re-sends
+  // all of it; until then no status toward it is maintained.
+  broker.rebuild = true;
   for (const auto& [key, engine_id] : broker.engine_ids) {
     remove_entry(engine_id);
   }
   broker.engine_ids.clear();
-  broker.forwarded.clear();
+  for (RecordId id = 0; id < broker.flags.size(); ++id) {
+    if ((broker.flags[id] & kForwarded) == 0) continue;
+    broker.flags[id] &= ~kForwarded;
+    --records_[id].forwarded_refs;
+    release_if_dead(id);
+  }
+  broker.forwarded_count = 0;
+  broker.forwarded_digest = 0;
   return changed;
 }
 
 bool RoutingTable::broker_resync(IfaceId broker,
                                  const std::vector<Filter>& want) {
-  add_broker_iface(broker);
-  BrokerIface& iface = broker_ifaces_.at(broker);
+  BrokerIface& iface = declare_broker_iface(broker);
   std::map<std::string, const Filter*> desired;
   for (const Filter& filter : want) desired.emplace(filter.key(), &filter);
   bool changed = false;
@@ -221,26 +239,24 @@ std::uint64_t RoutingTable::client_iface_digest(IfaceId iface) const {
 
 std::uint64_t RoutingTable::forwarded_digest(IfaceId iface) const {
   const auto it = broker_ifaces_.find(iface);
-  if (it == broker_ifaces_.end()) return 0;
-  std::uint64_t digest = 0;
-  for (const auto& [key, filter] : it->second.forwarded) {
-    digest ^= util::fnv1a64(key);
-  }
-  return digest;
+  return it == broker_ifaces_.end() ? 0 : it->second.forwarded_digest;
 }
 
 std::vector<Filter> RoutingTable::forwarded_filters(IfaceId iface) const {
   std::vector<Filter> filters;
   const auto it = broker_ifaces_.find(iface);
   if (it == broker_ifaces_.end()) return filters;
-  filters.reserve(it->second.forwarded.size());
-  // `forwarded` is keyed by canonical key in an unordered map; emit in
-  // key order for a deterministic replay.
-  std::map<std::string, const Filter*> ordered;
-  for (const auto& [key, filter] : it->second.forwarded) {
-    ordered.emplace(key, &filter);
+  std::vector<RecordId> ids;
+  ids.reserve(it->second.forwarded_count);
+  for (RecordId id = 0; id < it->second.flags.size(); ++id) {
+    if ((it->second.flags[id] & kForwarded) != 0) ids.push_back(id);
   }
-  for (const auto& [key, filter] : ordered) filters.push_back(*filter);
+  // Key order, for a deterministic replay.
+  std::sort(ids.begin(), ids.end(), [this](RecordId a, RecordId b) {
+    return records_[a].filter.key() < records_[b].filter.key();
+  });
+  filters.reserve(ids.size());
+  for (const RecordId id : ids) filters.push_back(records_[id].filter);
   return filters;
 }
 
@@ -282,8 +298,10 @@ std::string RoutingTable::state_fingerprint() const {
     }
   }
   for (const auto& [iface, broker] : broker_ifaces_) {
-    for (const auto& [key, filter] : broker.forwarded) {
-      lines.push_back("F " + std::to_string(iface) + " " + key);
+    for (RecordId id = 0; id < broker.flags.size(); ++id) {
+      if ((broker.flags[id] & kForwarded) == 0) continue;
+      lines.push_back("F " + std::to_string(iface) + " " +
+                      records_[id].filter.key());
     }
   }
   std::sort(lines.begin(), lines.end());
@@ -295,15 +313,21 @@ std::string RoutingTable::state_fingerprint() const {
   return out;
 }
 
-std::map<std::string, Filter> RoutingTable::filters_not_from(
-    IfaceId excluded) const {
-  std::map<std::string, Filter> out;
-  for (const auto& [engine_id, entry] : entries_) {
-    if (entry.iface == excluded) continue;
-    out.try_emplace(entry.filter.key(), entry.filter);
-  }
-  return out;
-}
+// --- incremental covering ----------------------------------------------------
+//
+// Each distinct canonical key is one Record. A record is desired for
+// neighbor n iff it is visible to n (some instance comes from another
+// interface) and no record visible to n dominates it. Dominance is always
+// tested against every visible record, never only the forwarded ones, so
+// correctness does not rest on Filter::covers being transitive. The status
+// changes only when some record's visibility to n flips:
+//   - g becomes visible: probe g's own status; every desired f that g
+//     dominates turns undesired.
+//   - g stops being visible: g turns undesired; every visible f that g
+//     dominated is re-probed against all visible records.
+// Both probes go through the persistent indexes, so a change costs its
+// candidate buckets, not the table. refresh() then diffs only the touched
+// records against the forwarded set.
 
 namespace {
 
@@ -317,7 +341,424 @@ bool dominates(const std::string& other_key, const Filter& other,
   return !filter.covers(other) || other_key < key;
 }
 
+bool dominates(const Filter& other, const Filter& filter) {
+  return dominates(other.key(), other, filter.key(), filter);
+}
+
+/// A record is inserted in one pass, so a bucket it already joined in that
+/// pass has it at the back.
+bool bucket_add(std::vector<std::uint32_t>& bucket, std::uint32_t id) {
+  if (!bucket.empty() && bucket.back() == id) return false;
+  bucket.push_back(id);
+  return true;
+}
+
+bool bucket_erase(std::vector<std::uint32_t>& bucket, std::uint32_t id) {
+  const auto it = std::find(bucket.begin(), bucket.end(), id);
+  if (it == bucket.end()) return false;
+  *it = bucket.back();
+  bucket.pop_back();
+  return true;
+}
+
+bool pins_value(const Constraint& c) {
+  return c.op() == Op::kEq && eq_bucketable(c.value());
+}
+
+/// The slots a filter occupies in the coverers index ("who could cover
+/// f"): one signature constraint — a value-pinning equality first, else
+/// every bucketable member of a set, else the first constraint's
+/// attribute. Soundness rests on Filter::covers: if g covers f, every
+/// constraint of g, its signature included, covers some constraint of f on
+/// the same attribute. An equality eq(a, v) covers only an equal eq(a, w)
+/// (same Value::hash bucket) or an empty set; a set covers only an
+/// eq or a non-empty set whose members all match it (so share a bucketable
+/// member — null and NaN match nothing) or an empty set. visit_coverers()
+/// probes exactly those buckets plus every attribute bucket of f. `fn`
+/// gets (attribute, pinned value or nullptr for the attribute bucket).
+template <class Fn>
+void for_each_coverer_slot(const Filter& filter, Fn&& fn) {
+  const Constraint* set_sig = nullptr;
+  for (const Constraint& c : filter.constraints()) {
+    if (pins_value(c)) {
+      fn(c.attr_id(), &c.value());
+      return;
+    }
+    if (set_sig == nullptr && c.op() == Op::kIn &&
+        std::any_of(c.members().begin(), c.members().end(), eq_bucketable)) {
+      set_sig = &c;
+    }
+  }
+  if (set_sig != nullptr) {
+    for (const Value& m : set_sig->members()) {
+      if (eq_bucketable(m)) fn(set_sig->attr_id(), &m);
+    }
+    return;
+  }
+  fn(filter.constraints().front().attr_id(), nullptr);
+}
+
+/// The slots a filter occupies in the covered index ("whom could g
+/// cover"): every constraint, value-pinning equalities under their value,
+/// all others under their attribute.
+template <class Fn>
+void for_each_covered_slot(const Filter& filter, Fn&& fn) {
+  for (const Constraint& c : filter.constraints()) {
+    fn(c.attr_id(), pins_value(c) ? &c.value() : nullptr);
+  }
+}
+
 }  // namespace
+
+RoutingTable::RecordId RoutingTable::intern_record(const Filter& filter) {
+  const std::string& key = filter.key();
+  if (const auto it = record_of_key_.find(key); it != record_of_key_.end()) {
+    return it->second;
+  }
+  RecordId id = 0;
+  if (!free_records_.empty()) {
+    id = free_records_.back();
+    free_records_.pop_back();
+  } else {
+    id = static_cast<RecordId>(records_.size());
+    records_.emplace_back();
+    for (auto& [neighbor, state] : broker_ifaces_) state.flags.push_back(0);
+  }
+  Record& rec = records_[id];
+  rec.filter = filter;
+  rec.key_hash = util::fnv1a64(key);
+  record_of_key_.emplace(rec.filter.key(), id);
+  return id;
+}
+
+void RoutingTable::release_if_dead(RecordId id) {
+  Record& rec = records_[id];
+  if (rec.live()) return;
+  record_of_key_.erase(rec.filter.key());
+  rec = Record{};
+  free_records_.push_back(id);
+}
+
+void RoutingTable::index_insert(RecordId id) {
+  const Filter& filter = records_[id].filter;
+  if (filter.empty()) {
+    // Covers everything; covered only by another empty filter, which the
+    // empty-filter probe of visit_covered finds by scanning all records.
+    empty_coverers_.push_back(id);
+    return;
+  }
+  const auto add = [id](BucketIndex* index) {
+    return [id, index](AttrId attr, const Value* value) {
+      AttrBuckets& buckets = (*index)[attr];
+      auto& bucket = value != nullptr
+                         ? buckets.by_value[value->hash()]
+                         : buckets.other;
+      if (bucket_add(bucket, id)) ++buckets.size;
+    };
+  };
+  for_each_coverer_slot(filter, add(&coverers_));
+  for_each_covered_slot(filter, add(&covered_));
+}
+
+void RoutingTable::index_erase(RecordId id) {
+  const Filter& filter = records_[id].filter;
+  if (filter.empty()) {
+    bucket_erase(empty_coverers_, id);
+    return;
+  }
+  const auto erase = [id](BucketIndex* index) {
+    return [id, index](AttrId attr, const Value* value) {
+      const auto attr_it = index->find(attr);
+      if (attr_it == index->end()) return;
+      AttrBuckets& buckets = attr_it->second;
+      if (value == nullptr) {
+        if (bucket_erase(buckets.other, id)) --buckets.size;
+      } else if (const auto it = buckets.by_value.find(value->hash());
+                 it != buckets.by_value.end()) {
+        if (bucket_erase(it->second, id)) --buckets.size;
+        if (it->second.empty()) buckets.by_value.erase(it);
+      }
+      if (buckets.size == 0) index->erase(attr_it);
+    };
+  };
+  for_each_coverer_slot(filter, erase(&coverers_));
+  for_each_covered_slot(filter, erase(&covered_));
+}
+
+template <class Fn>
+bool RoutingTable::visit_coverers(const Filter& filter, Fn&& fn) const {
+  const auto visit = [&fn](const std::vector<RecordId>& bucket) {
+    for (const RecordId id : bucket) {
+      if (fn(id)) return true;
+    }
+    return false;
+  };
+  if (visit(empty_coverers_)) return true;
+  AttrId prev_attr = kNoAttrId;
+  for (const Constraint& c : filter.constraints()) {
+    const auto attr_it = coverers_.find(c.attr_id());
+    if (attr_it == coverers_.end()) continue;
+    const AttrBuckets& buckets = attr_it->second;
+    // Constraints are sorted by attribute: one attribute-bucket visit per
+    // distinct attribute.
+    if (c.attr_id() != prev_attr) {
+      prev_attr = c.attr_id();
+      if (visit(buckets.other)) return true;
+    }
+    const auto visit_value = [&](const Value& v) {
+      const auto it = buckets.by_value.find(v.hash());
+      return it != buckets.by_value.end() && visit(it->second);
+    };
+    if (pins_value(c)) {
+      if (visit_value(c.value())) return true;
+    } else if (c.op() == Op::kIn) {
+      if (c.members().empty()) {
+        // in {} matches nothing: every value-filed signature on this
+        // attribute covers it vacuously.
+        for (const auto& [value, bucket] : buckets.by_value) {
+          if (visit(bucket)) return true;
+        }
+        continue;
+      }
+      for (const Value& m : c.members()) {
+        if (eq_bucketable(m) && visit_value(m)) return true;
+      }
+    }
+  }
+  return false;
+}
+
+template <class Fn>
+void RoutingTable::visit_covered(const Filter& filter, Fn&& fn) const {
+  if (filter.empty()) {
+    for (RecordId id = 0; id < records_.size(); ++id) {
+      if (!records_[id].holders.empty()) fn(id);
+    }
+    return;
+  }
+  // If g covers f, each constraint of g covers some constraint of f on its
+  // attribute, so probing with any one constraint of g is sound; take the
+  // cheapest. A value-pinning eq(a, v) covers only an eq on a with an
+  // equal value (bucket (a, v)) or an empty set on a (the attribute bucket
+  // of a); any other constraint reads every bucket of its attribute.
+  const AttrBuckets* best = nullptr;
+  bool best_pinned = false;
+  const std::vector<RecordId>* best_value = nullptr;
+  std::size_t best_cost = static_cast<std::size_t>(-1);
+  for (const Constraint& c : filter.constraints()) {
+    const auto attr_it = covered_.find(c.attr_id());
+    if (attr_it == covered_.end()) return;  // no record constrains attr
+    const AttrBuckets& buckets = attr_it->second;
+    const bool pinned = pins_value(c);
+    const std::vector<RecordId>* value_bucket = nullptr;
+    std::size_t cost = buckets.size;
+    if (pinned) {
+      const auto it = buckets.by_value.find(c.value().hash());
+      if (it != buckets.by_value.end()) value_bucket = &it->second;
+      cost = buckets.other.size() +
+             (value_bucket != nullptr ? value_bucket->size() : 0);
+    }
+    if (cost < best_cost) {
+      best_cost = cost;
+      best = &buckets;
+      best_pinned = pinned;
+      best_value = value_bucket;
+    }
+  }
+  for (const RecordId id : best->other) fn(id);
+  if (best_pinned) {
+    if (best_value != nullptr) {
+      for (const RecordId id : *best_value) fn(id);
+    }
+    return;
+  }
+  for (const auto& [value, bucket] : best->by_value) {
+    for (const RecordId id : bucket) fn(id);
+  }
+}
+
+bool RoutingTable::dominated_for(RecordId id, IfaceId neighbor) const {
+  const Filter& filter = records_[id].filter;
+  return visit_coverers(filter, [&](RecordId other) {
+    if (other == id) return false;
+    const Record& rec = records_[other];
+    return rec.visible_to(neighbor) && dominates(rec.filter, filter);
+  });
+}
+
+void RoutingTable::set_desired(BrokerIface& neighbor, RecordId id,
+                               bool desired) {
+  std::uint8_t& flags = neighbor.flags[id];
+  if (((flags & kDesired) != 0) == desired) return;
+  flags ^= kDesired;
+  if ((flags & kTouched) == 0) {
+    flags |= kTouched;
+    neighbor.touched.push_back(id);
+  }
+}
+
+void RoutingTable::add_instance(const Filter& filter, IfaceId iface) {
+  const RecordId id = intern_record(filter);
+  auto& holders = records_[id].holders;
+  const auto it = std::lower_bound(
+      holders.begin(), holders.end(), iface,
+      [](const auto& holder, IfaceId i) { return holder.first < i; });
+  if (it != holders.end() && it->first == iface) {
+    ++it->second;  // one more instance on a known interface: nothing flips
+    return;
+  }
+  const bool was_held = !holders.empty();
+  const IfaceId sole = holders.size() == 1 ? holders.front().first : kNoIface;
+  holders.insert(it, {iface, 1});
+  if (was_held && sole == kNoIface) return;  // already visible everywhere
+  if (!was_held && config_.covering_enabled) index_insert(id);
+  // Newly visible to every neighbor but `iface` when nothing held it, else
+  // to the previous sole holder.
+  flipped_.clear();
+  for (auto& [neighbor, state] : broker_ifaces_) {
+    if (state.rebuild) continue;
+    if (was_held ? neighbor == sole : neighbor != iface) {
+      flipped_.emplace_back(neighbor, &state);
+    }
+  }
+  if (!flipped_.empty()) on_gained(id);
+}
+
+void RoutingTable::remove_instance(const Filter& filter, IfaceId iface) {
+  const RecordId id = record_of_key_.at(filter.key());
+  auto& holders = records_[id].holders;
+  const auto it = std::lower_bound(
+      holders.begin(), holders.end(), iface,
+      [](const auto& holder, IfaceId i) { return holder.first < i; });
+  if (--it->second > 0) return;
+  holders.erase(it);
+  if (holders.size() > 1) return;  // still visible everywhere
+  const bool held = !holders.empty();
+  const IfaceId sole = held ? holders.front().first : kNoIface;
+  // No longer visible to any neighbor but `iface` when nothing holds it,
+  // else to the remaining sole holder.
+  flipped_.clear();
+  for (auto& [neighbor, state] : broker_ifaces_) {
+    if (state.rebuild) continue;
+    if (held ? neighbor == sole : neighbor != iface) {
+      flipped_.emplace_back(neighbor, &state);
+    }
+  }
+  if (!held && config_.covering_enabled) index_erase(id);
+  if (!flipped_.empty()) on_lost(id);
+  if (!held) release_if_dead(id);
+}
+
+void RoutingTable::on_gained(RecordId id) {
+  const Filter& filter = records_[id].filter;
+  for (auto& [neighbor, state] : flipped_) {
+    set_desired(*state, id,
+                !config_.covering_enabled || !dominated_for(id, neighbor));
+  }
+  if (!config_.covering_enabled) return;
+  visit_covered(filter, [&](RecordId other) {
+    if (other == id) return;
+    bool checked = false;
+    for (auto& [neighbor, state] : flipped_) {
+      if ((state->flags[other] & kDesired) == 0) continue;
+      if (!checked) {
+        if (!dominates(filter, records_[other].filter)) return;
+        checked = true;
+      }
+      set_desired(*state, other, false);
+    }
+  });
+}
+
+void RoutingTable::on_lost(RecordId id) {
+  const Filter& filter = records_[id].filter;
+  for (auto& [neighbor, state] : flipped_) set_desired(*state, id, false);
+  if (!config_.covering_enabled) return;
+  visit_covered(filter, [&](RecordId other) {
+    if (other == id) return;
+    const Record& rec = records_[other];
+    bool checked = false;
+    for (auto& [neighbor, state] : flipped_) {
+      if ((state->flags[other] & kDesired) != 0 || !rec.visible_to(neighbor)) {
+        continue;
+      }
+      if (!checked) {
+        if (!dominates(filter, rec.filter)) return;
+        checked = true;
+      }
+      if (!dominated_for(other, neighbor)) set_desired(*state, other, true);
+    }
+  });
+}
+
+void RoutingTable::rebuild_cover(IfaceId neighbor, BrokerIface& state) {
+  state.touched.clear();
+  for (RecordId id = 0; id < records_.size(); ++id) {
+    std::uint8_t& flags = state.flags[id];
+    flags &= kForwarded;
+    const Record& rec = records_[id];
+    if (!rec.live()) continue;
+    if (rec.visible_to(neighbor) &&
+        (!config_.covering_enabled || !dominated_for(id, neighbor))) {
+      flags |= kDesired;
+    }
+    flags |= kTouched;
+    state.touched.push_back(id);
+  }
+  state.rebuild = false;
+}
+
+RoutingTable::Diff RoutingTable::refresh(IfaceId neighbor) {
+  BrokerIface& state = broker_ifaces_.at(neighbor);
+  if (state.rebuild) rebuild_cover(neighbor, state);
+  std::vector<RecordId> added;
+  std::vector<RecordId> dropped;
+  for (const RecordId id : state.touched) {
+    std::uint8_t& flags = state.flags[id];
+    flags &= ~kTouched;
+    const bool want = (flags & kDesired) != 0;
+    if (want == ((flags & kForwarded) != 0)) continue;  // e.g. added+removed
+    flags ^= kForwarded;
+    Record& rec = records_[id];
+    state.forwarded_digest ^= rec.key_hash;
+    if (want) {
+      ++rec.forwarded_refs;
+      ++state.forwarded_count;
+      added.push_back(id);
+    } else {
+      --rec.forwarded_refs;
+      --state.forwarded_count;
+      dropped.push_back(id);
+    }
+  }
+  state.touched.clear();
+  // Strings are compared only here, to order the diff.
+  const auto by_key = [this](RecordId a, RecordId b) {
+    return records_[a].filter.key() < records_[b].filter.key();
+  };
+  std::sort(added.begin(), added.end(), by_key);
+  std::sort(dropped.begin(), dropped.end(), by_key);
+  Diff diff;
+  diff.subscribe.reserve(added.size());
+  for (const RecordId id : added) diff.subscribe.push_back(records_[id].filter);
+  diff.unsubscribe.reserve(dropped.size());
+  for (const RecordId id : dropped) {
+    diff.unsubscribe.push_back(records_[id].filter);
+    release_if_dead(id);
+  }
+  return diff;
+}
+
+std::map<std::string, Filter> RoutingTable::full_recompute(
+    IfaceId neighbor) const {
+  std::map<std::string, Filter> visible;
+  for (const auto& [engine_id, entry] : entries_) {
+    if (entry.iface == neighbor) continue;
+    visible.try_emplace(entry.filter.key(), entry.filter);
+  }
+  if (!config_.covering_enabled) return visible;
+  return minimal_cover_naive(std::move(visible));
+}
 
 std::map<std::string, Filter> RoutingTable::minimal_cover_naive(
     std::map<std::string, Filter> filters) {
@@ -334,164 +775,6 @@ std::map<std::string, Filter> RoutingTable::minimal_cover_naive(
   }
   return out;
 }
-
-std::map<std::string, Filter> RoutingTable::minimal_cover_indexed(
-    std::map<std::string, Filter> filters) {
-  // Signature index: every non-empty filter is bucketed under one of its
-  // constraints. Soundness rests on Filter::covers semantics — if g covers
-  // f, then *every* constraint of g (its signature included) covers some
-  // constraint of f on the same attribute. Hence g is reachable from f's
-  // own constraints: an equality signature eq(a, v) only ever covers
-  // eq(a, v) (cross-type numerics compare equal via canonical_numeric) or
-  // an *empty* in-set (which everything covers vacuously), so value
-  // buckets plus the empty-set fallback below suffice. A set-membership
-  // signature in(a, S) covers only eq(a, m) / in(a, T subset of S) with a
-  // bucketable member in common, so bucketing g under every bucketable
-  // member value is reachable from f's per-member probes (members that are
-  // null/NaN are unsatisfiable and can never witness a cover, so skipping
-  // them is sound). Any other signature op is reachable through the
-  // attribute bucket alone. Empty filters cover everything and are always
-  // candidates.
-  using Item = const std::pair<const std::string, Filter>*;
-  std::vector<Item> empties;
-  std::unordered_map<AttrId, std::unordered_map<Value, std::vector<Item>>,
-                     AttrIdHash>
-      eq_sig;
-  std::unordered_map<AttrId, std::vector<Item>, AttrIdHash> attr_sig;
-  for (const auto& entry : filters) {
-    const Filter& filter = entry.second;
-    if (filter.empty()) {
-      empties.push_back(&entry);
-      continue;
-    }
-    // Prefer an equality constraint as the signature: its value bucket
-    // prunes far harder than an attribute bucket (feed subscriptions all
-    // share their attributes but rarely their feed URL). Failing that, a
-    // set-membership constraint buckets under every bucketable member —
-    // still value-level pruning, at the cost of |set| bucket entries.
-    const Constraint* sig = nullptr;
-    const Constraint* in_sig = nullptr;
-    for (const Constraint& c : filter.constraints()) {
-      if (c.op() == Op::kEq) {
-        sig = &c;
-        break;
-      }
-      if (in_sig == nullptr && c.op() == Op::kIn) {
-        for (const Value& m : c.members()) {
-          if (eq_bucketable(m)) {
-            in_sig = &c;
-            break;
-          }
-        }
-      }
-    }
-    if (sig != nullptr) {
-      eq_sig[sig->attr_id()][canonical_numeric(sig->value())].push_back(
-          &entry);
-    } else if (in_sig != nullptr) {
-      auto& buckets = eq_sig[in_sig->attr_id()];
-      for (const Value& m : in_sig->members()) {
-        if (eq_bucketable(m)) buckets[canonical_numeric(m)].push_back(&entry);
-      }
-    } else {
-      attr_sig[filter.constraints().front().attr_id()].push_back(&entry);
-    }
-  }
-
-  std::map<std::string, Filter> out;
-  std::vector<Item> candidates;
-  for (const auto& entry : filters) {
-    const auto& [key, filter] = entry;
-    candidates.assign(empties.begin(), empties.end());
-    AttrId prev_attr = kNoAttrId;
-    for (const Constraint& c : filter.constraints()) {
-      // Constraints are canonically sorted, so one attribute-bucket probe
-      // per distinct attribute.
-      if (prev_attr == kNoAttrId || prev_attr != c.attr_id()) {
-        prev_attr = c.attr_id();
-        if (const auto it = attr_sig.find(c.attr_id());
-            it != attr_sig.end()) {
-          candidates.insert(candidates.end(), it->second.begin(),
-                            it->second.end());
-        }
-      }
-      if (c.op() == Op::kIn) {
-        if (const auto attr_it = eq_sig.find(c.attr_id());
-            attr_it != eq_sig.end()) {
-          if (c.members().empty()) {
-            // in {} matches nothing, so every value-bucketed signature on
-            // this attribute covers it vacuously — all buckets are
-            // candidates.
-            for (const auto& bucket : attr_it->second) {
-              candidates.insert(candidates.end(), bucket.second.begin(),
-                                bucket.second.end());
-            }
-          } else {
-            for (const Value& m : c.members()) {
-              if (!eq_bucketable(m)) continue;
-              if (const auto value_it =
-                      attr_it->second.find(canonical_numeric(m));
-                  value_it != attr_it->second.end()) {
-                candidates.insert(candidates.end(), value_it->second.begin(),
-                                  value_it->second.end());
-              }
-            }
-          }
-        }
-        continue;
-      }
-      if (c.op() != Op::kEq) continue;
-      if (const auto attr_it = eq_sig.find(c.attr_id());
-          attr_it != eq_sig.end()) {
-        if (const auto value_it =
-                attr_it->second.find(canonical_numeric(c.value()));
-            value_it != attr_it->second.end()) {
-          candidates.insert(candidates.end(), value_it->second.begin(),
-                            value_it->second.end());
-        }
-      }
-    }
-    bool dominated = false;
-    for (const Item other : candidates) {
-      if (dominates(other->first, other->second, key, filter)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) out.emplace(key, filter);
-  }
-  return out;
-}
-
-RoutingTable::Diff RoutingTable::refresh(IfaceId neighbor) {
-  BrokerIface& iface = broker_ifaces_.at(neighbor);
-  std::map<std::string, Filter> desired = filters_not_from(neighbor);
-  if (config_.covering_enabled) {
-    desired = config_.cover_index_enabled
-                  ? minimal_cover_indexed(std::move(desired))
-                  : minimal_cover_naive(std::move(desired));
-  }
-
-  Diff diff;
-  // Subscriptions that became necessary.
-  for (const auto& [key, filter] : desired) {
-    if (iface.forwarded.contains(key)) continue;
-    diff.subscribe.push_back(filter);
-    iface.forwarded.emplace(key, filter);
-  }
-  // Subscriptions no longer needed (or now covered). Collect keys in map
-  // order for a deterministic diff.
-  std::map<std::string, Filter> stale;
-  for (const auto& [key, filter] : iface.forwarded) {
-    if (!desired.contains(key)) stale.emplace(key, filter);
-  }
-  for (auto& [key, filter] : stale) {
-    diff.unsubscribe.push_back(std::move(filter));
-    iface.forwarded.erase(key);
-  }
-  return diff;
-}
-
 RoutingTable::Destination RoutingTable::destination_of(
     std::uint64_t engine_id) const {
   const EngineEntry& entry = entries_.at(engine_id);
@@ -544,7 +827,7 @@ void RoutingTable::match_batch_scored(
 
 std::size_t RoutingTable::forwarded_size(IfaceId neighbor) const {
   const auto it = broker_ifaces_.find(neighbor);
-  return it == broker_ifaces_.end() ? 0 : it->second.forwarded.size();
+  return it == broker_ifaces_.end() ? 0 : it->second.forwarded_count;
 }
 
 }  // namespace reef::pubsub

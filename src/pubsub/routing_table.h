@@ -6,17 +6,26 @@
 // client), the filters reachable through that interface, answers "which
 // interfaces does this event cross" via a pluggable matching engine, and
 // computes the covering-pruned subscribe/unsubscribe delta that each
-// neighbor should receive: a filter is not forwarded to a neighbor if a
-// filter already forwarded there covers it. The table never touches the
-// network — the Broker is a thin message adapter that feeds it protocol
-// events and ships the diffs it returns.
+// neighbor should receive: a filter is not forwarded to a neighbor if
+// another filter visible to that neighbor covers it. The table never
+// touches the network — the Broker is a thin message adapter that feeds it
+// protocol events and ships the diffs it returns.
+//
+// The covering control plane is incremental: every distinct canonical key
+// is one record in a persistent covering index, each neighbor's
+// desired/forwarded status per record is kept up to date as filters come
+// and go, and refresh() only diffs the records whose status changed since
+// the previous call. minimal_cover_naive() over the whole table is the
+// oracle it is held to (full_recompute()).
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -36,14 +45,13 @@ class RoutingTable {
   static constexpr IfaceId kNoIface = 0xffffffff;
 
   struct Config {
-    /// Covering-based pruning of forwarded subscriptions (ablation knob).
+    /// Covering-based pruning of forwarded subscriptions (ablation knob;
+    /// off = every visible filter is forwarded and no covering index is
+    /// kept).
     bool covering_enabled = true;
     /// Matching engine, by MatcherRegistry name. "sharded:<inner>" selects
     /// the sharded layer explicitly; see shard_count / worker_threads.
     std::string engine = std::string(kDefaultEngine);
-    /// Signature-indexed candidate pruning in the covering check (ablation
-    /// knob; off = the naive pairwise loop, for regression comparison).
-    bool cover_index_enabled = true;
     /// Filter-state shards for the matching engine. 0 = auto: plain
     /// engine names stay unsharded (the ablation baseline) while a
     /// "sharded:" engine gets kDefaultShardCount, matching registry
@@ -166,12 +174,22 @@ class RoutingTable {
   std::string state_fingerprint() const;
 
   // --- forwarding -----------------------------------------------------------
-  /// Recomputes the set of filters `neighbor` should receive (everything
-  /// visible on other interfaces, reduced to its covering-minimal form
-  /// when covering is enabled), updates the forwarded bookkeeping, and
-  /// returns the delta to ship. Deterministic: diff entries come out in
-  /// canonical-key order.
+  /// Brings the filters forwarded to `neighbor` up to the desired set
+  /// (everything visible on other interfaces, reduced to its
+  /// covering-minimal form when covering is enabled) and returns the delta
+  /// to ship. The desired status is maintained as filters are added and
+  /// removed, so a call only compares the records whose status changed
+  /// since the previous call (all of them after add_broker_iface or
+  /// drop_broker_iface_state). The result equals diffing full_recompute()
+  /// against the forwarded set: `subscribe` and `unsubscribe` each come out
+  /// in canonical-key order.
   Diff refresh(IfaceId neighbor);
+
+  /// The oracle for refresh(): the desired forwarded set of `neighbor`
+  /// recomputed from the whole table with minimal_cover_naive(), keyed by
+  /// canonical key. O(n^2) in the table size; for tests and benches only —
+  /// no message path calls it.
+  std::map<std::string, Filter> full_recompute(IfaceId neighbor) const;
 
   // --- matching -------------------------------------------------------------
   /// Appends one Destination per matching registration. An interface can
@@ -203,14 +221,10 @@ class RoutingTable {
   const Matcher& matcher() const noexcept { return *matcher_; }
   const Config& config() const noexcept { return config_; }
   // --- covering reduction (public for tests and benches) --------------------
-  /// Reduces a key->filter set to its maximal elements under covering,
-  /// pruning candidate cover pairs through a per-call signature index
-  /// (each filter is bucketed by one constraint; only filters whose
-  /// bucket a candidate's own constraints can reach are checked).
-  static std::map<std::string, Filter> minimal_cover_indexed(
-      std::map<std::string, Filter> filters);
-  /// The original O(n^2) pairwise reduction, kept as the oracle for the
-  /// indexed path (cover_index_enabled = false routes refresh() here).
+  /// Reduces a key->filter set to its maximal elements under covering: a
+  /// filter is dropped when another filter of the set covers it, and of
+  /// two filters that cover each other the one with the smaller key stays.
+  /// The plain O(n^2) pairwise loop — the oracle behind full_recompute().
   static std::map<std::string, Filter> minimal_cover_naive(
       std::map<std::string, Filter> filters);
 
@@ -218,12 +232,63 @@ class RoutingTable {
   struct ClientIface {
     std::unordered_map<SubscriptionId, std::uint64_t> engine_ids;
   };
+  /// Dense id of a Record (a slot in records_; freed slots are reused).
+  using RecordId = std::uint32_t;
+
+  /// Per-record cover state toward one neighbor (BrokerIface::flags).
+  enum CoverFlag : std::uint8_t {
+    kDesired = 1,    ///< visible to the neighbor and not dominated
+    kForwarded = 2,  ///< handed out to the neighbor by a refresh
+    kTouched = 4,    ///< listed in BrokerIface::touched
+  };
+
   struct BrokerIface {
     /// Aggregated filters received from this neighbor, by canonical key.
     std::unordered_map<std::string, std::uint64_t> engine_ids;
-    /// Filters we have handed out *to* this neighbor, by canonical key.
-    std::unordered_map<std::string, Filter> forwarded;
+    /// CoverFlag bits toward this neighbor, indexed by RecordId.
+    std::vector<std::uint8_t> flags;
+    /// Records whose kDesired bit changed since the last refresh.
+    std::vector<RecordId> touched;
+    std::size_t forwarded_count = 0;
+    /// XOR of Record::key_hash over the forwarded records.
+    std::uint64_t forwarded_digest = 0;
+    /// kDesired is stale: the next refresh recomputes it for every record
+    /// from the covering index (set for a new neighbor and after
+    /// drop_broker_iface_state); until then nothing maintains it.
+    bool rebuild = true;
   };
+
+  /// One distinct canonical key: the filter once, the interfaces holding
+  /// instances of it, and how many neighbors it is forwarded to.
+  struct Record {
+    Filter filter;
+    std::uint64_t key_hash = 0;  ///< fnv1a64(filter.key())
+    /// (iface, instance count > 0), sorted by iface. Non-empty exactly
+    /// while the record is in the covering index.
+    std::vector<std::pair<IfaceId, std::uint32_t>> holders;
+    std::uint32_t forwarded_refs = 0;
+    /// Visible to `neighbor`: some instance comes from another interface.
+    bool visible_to(IfaceId neighbor) const noexcept {
+      return holders.size() > 1 ||
+             (holders.size() == 1 && holders.front().first != neighbor);
+    }
+    bool live() const noexcept {
+      return !holders.empty() || forwarded_refs != 0;
+    }
+  };
+
+  /// Persistent candidate index over the records with holders. Both sides
+  /// bucket by attribute, and by Value::hash (equal for values that
+  /// compare equal, e.g. 3 and 3.0) where a value pins the constraint.
+  /// Probes only prune: a hash collision merely adds candidates, and every
+  /// candidate is still checked with Filter::covers.
+  struct AttrBuckets {
+    std::unordered_map<std::uint64_t, std::vector<RecordId>> by_value;
+    std::vector<RecordId> other;
+    std::size_t size = 0;  ///< ids across by_value and other
+  };
+  using BucketIndex = std::unordered_map<AttrId, AttrBuckets, AttrIdHash>;
+
   struct EngineEntry {
     Filter filter;
     IfaceId iface = kNoIface;
@@ -238,9 +303,23 @@ class RoutingTable {
   /// The stored spec of an entry (neutral when it has none).
   ScoringSpec entry_scoring(std::uint64_t engine_id) const;
 
-  /// Filters visible on interfaces other than `excluded` (deduplicated by
-  /// canonical key).
-  std::map<std::string, Filter> filters_not_from(IfaceId excluded) const;
+  // Covering control plane (routing_table.cpp, "incremental covering").
+  BrokerIface& declare_broker_iface(IfaceId iface);
+  RecordId intern_record(const Filter& filter);
+  void release_if_dead(RecordId id);
+  void add_instance(const Filter& filter, IfaceId iface);
+  void remove_instance(const Filter& filter, IfaceId iface);
+  void index_insert(RecordId id);
+  void index_erase(RecordId id);
+  template <class Fn>
+  bool visit_coverers(const Filter& filter, Fn&& fn) const;
+  template <class Fn>
+  void visit_covered(const Filter& filter, Fn&& fn) const;
+  bool dominated_for(RecordId id, IfaceId neighbor) const;
+  void set_desired(BrokerIface& neighbor, RecordId id, bool desired);
+  void on_gained(RecordId id);
+  void on_lost(RecordId id);
+  void rebuild_cover(IfaceId neighbor, BrokerIface& state);
 
   Config config_;
   std::unordered_map<IfaceId, BrokerIface> broker_ifaces_;
@@ -252,6 +331,20 @@ class RoutingTable {
   /// path's lookup surface; see Matcher::match_batch_scored).
   ScoringIndex scoring_index_;
   std::uint64_t next_engine_id_ = 1;
+
+  // Covering state. Nothing on the match path reads it.
+  /// A deque, so a record's key (viewed by record_of_key_) never moves.
+  std::deque<Record> records_;
+  std::vector<RecordId> free_records_;
+  std::unordered_map<std::string_view, RecordId> record_of_key_;
+  /// "Who could cover f": each record under one signature constraint.
+  BucketIndex coverers_;
+  std::vector<RecordId> empty_coverers_;  ///< empty filters cover all
+  /// "Whom could g cover": each record under every constraint.
+  BucketIndex covered_;
+  /// Neighbors whose view of the record being updated flipped (scratch of
+  /// add_instance/remove_instance for on_gained/on_lost).
+  std::vector<std::pair<IfaceId, BrokerIface*>> flipped_;
 };
 
 }  // namespace reef::pubsub

@@ -32,6 +32,16 @@
 //      configuration must reproduce them byte for byte. A separate
 //      neutral-property run pins scoring_enabled=true with all-neutral
 //      specs to the scoring-disabled trace, byte for byte.
+//   6. Covering level: one RoutingTable with 3 neighbor-broker and 4
+//      client interfaces under seeded churn from both sides (subscribe,
+//      unsubscribe, replace, drop_broker_iface_state, broker_resync,
+//      client_resync, and bursts of several ops between refreshes), with
+//      covering on and off. After every op each neighbor's refresh() diff
+//      is applied to a shadow forwarded set, which must equal the
+//      full-recompute oracle (RoutingTable::full_recompute, i.e.
+//      minimal_cover_naive over the whole table); forwarded_digest must
+//      match the shadow, and state_fingerprint must equal that of a table
+//      rebuilt from scratch with the same state.
 //
 // ## Schedule format (add your engine to the oracle matrix)
 //
@@ -75,13 +85,16 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "pubsub/client.h"
 #include "pubsub/matcher_registry.h"
 #include "pubsub/overlay.h"
+#include "pubsub/routing_table.h"
 #include "pubsub/sharded_matcher.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace reef::pubsub {
@@ -1232,6 +1245,219 @@ TEST(DifferentialFuzz, NeutralScoringByteIdenticalToDisabled) {
       }
     }
   }
+}
+
+// --- level 6: incremental covering vs the full recompute ---------------------
+
+/// The level-6 filter mix: the fuzz_filter population plus the shapes the
+/// covering algebra is most delicate on — mutually covering pairs with
+/// distinct keys (eq(level, 1) / eq(level, 1.0)), empty sets (also on the
+/// feed attribute that fuzz_filter's feed equalities pin), ne, exists, and
+/// the universal filter. A live universal filter dominates everything its
+/// neighbors see, so runs with `universal` off keep the rest of the
+/// algebra exposed.
+Filter covering_filter(util::Rng& rng, bool universal) {
+  switch (rng.index(10)) {
+    case 0:
+      return rng.chance(0.5) ? Filter().and_(eq("level", 1))
+                             : Filter().and_(eq("level", 1.0));
+    case 1:
+      return Filter().and_(
+          ne("level", rng.chance(0.5) ? Value(2) : Value(2.0)));
+    case 2:
+      // Empty sets are covered by every constraint on their attribute,
+      // equalities included.
+      switch (rng.index(3)) {
+        case 0:
+          return Filter().and_(in_("level", {}));
+        case 1:
+          return Filter().and_(in_("feed", {}));
+        default:
+          return Filter().and_(in_("level", {Value(1), Value(3.0)}));
+      }
+    case 3:
+      return universal && rng.chance(0.3) ? Filter()
+                                          : Filter().and_(exists("level"));
+    default: {
+      Filter f = fuzz_filter(rng);
+      while (!universal && f.empty()) f = fuzz_filter(rng);
+      return f;
+    }
+  }
+}
+
+/// One churn run of level 6. Counts the cover retractions that resurfaced
+/// a covered filter and the equivalent-key tie-break flips seen in the
+/// diffs.
+void run_covering_churn(std::uint64_t seed, bool covering, bool universal,
+                        int& resurfaced, int& tie_flips) {
+  using IfaceId = RoutingTable::IfaceId;
+  const std::vector<IfaceId> neighbors = {1, 2, 3};
+  const std::vector<IfaceId> clients = {10, 11, 12, 13};
+  RoutingTable::Config config;
+  config.covering_enabled = covering;
+  config.engine = "brute-force";
+  RoutingTable table(config);
+  for (const IfaceId n : neighbors) table.add_broker_iface(n);
+
+  // The model the from-scratch rebuild replays.
+  std::map<IfaceId, std::map<std::string, Filter>> broker_state;
+  std::map<IfaceId, std::map<SubscriptionId, Filter>> client_state;
+  std::map<IfaceId, std::set<std::string>> shadow;
+  SubscriptionId next_sub = 1;
+  util::Rng rng(seed ^ 0xc0e6ULL);
+
+  const auto pick_key = [&rng](const auto& map) {
+    auto it = map.begin();
+    std::advance(it, static_cast<std::ptrdiff_t>(rng.index(map.size())));
+    return it;
+  };
+  const auto one_op = [&]() {
+    const IfaceId n = neighbors[rng.index(neighbors.size())];
+    const IfaceId c = clients[rng.index(clients.size())];
+    auto& subs = client_state[c];
+    auto& wants = broker_state[n];
+    const double roll = rng.uniform01();
+    if (roll < 0.30) {
+      // Fresh id, or replace an existing one's filter.
+      const SubscriptionId id = !subs.empty() && rng.chance(0.2)
+                                    ? pick_key(subs)->first
+                                    : next_sub++;
+      Filter f = covering_filter(rng, universal);
+      table.client_subscribe(c, id, f);
+      subs.insert_or_assign(id, std::move(f));
+    } else if (roll < 0.50) {
+      if (subs.empty()) return;
+      const auto it = pick_key(subs);
+      EXPECT_TRUE(table.client_unsubscribe(c, it->first));
+      subs.erase(it);
+    } else if (roll < 0.72) {
+      Filter f = covering_filter(rng, universal);
+      EXPECT_EQ(table.broker_subscribe(n, f), !wants.contains(f.key()));
+      wants.emplace(f.key(), std::move(f));
+    } else if (roll < 0.88) {
+      if (wants.empty()) return;
+      const auto it = pick_key(wants);
+      EXPECT_TRUE(table.broker_unsubscribe(n, it->second));
+      wants.erase(it);
+    } else if (roll < 0.92) {
+      // The neighbor restarted: what it was sent is void, and the next
+      // refresh re-sends its whole desired set.
+      table.drop_broker_iface_state(n);
+      wants.clear();
+      shadow[n].clear();
+    } else if (roll < 0.96) {
+      std::map<std::string, Filter> next;
+      for (const auto& [key, f] : wants) {
+        if (rng.chance(0.6)) next.emplace(key, f);
+      }
+      for (std::size_t i = rng.index(4); i > 0; --i) {
+        Filter f = covering_filter(rng, universal);
+        next.emplace(f.key(), std::move(f));
+      }
+      std::vector<Filter> want;
+      for (const auto& [key, f] : next) want.push_back(f);
+      table.broker_resync(n, want);
+      wants = std::move(next);
+    } else {
+      std::map<SubscriptionId, Filter> next;
+      for (const auto& [id, f] : subs) {
+        if (!rng.chance(0.6)) continue;
+        next.emplace(id, rng.chance(0.2) ? covering_filter(rng, universal) : f);
+      }
+      for (std::size_t i = rng.index(3); i > 0; --i) {
+        next.emplace(next_sub++, covering_filter(rng, universal));
+      }
+      std::vector<ClientSubscription> want;
+      for (const auto& [id, f] : next) {
+        want.push_back(ClientSubscription{id, f, {}});
+      }
+      table.client_resync(c, want);
+      subs = std::move(next);
+    }
+  };
+
+  for (int step = 0; step < 250; ++step) {
+    // Mostly one op per refresh; sometimes a burst, so keys added and
+    // removed between two refreshes must cancel out.
+    const std::size_t burst = rng.chance(0.15) ? 2 + rng.index(5) : 1;
+    for (std::size_t i = 0; i < burst; ++i) one_op();
+    const std::string label =
+        "seed=" + std::to_string(seed) + " covering=" +
+        std::to_string(covering) + " universal=" + std::to_string(universal) +
+        " step=" + std::to_string(step);
+
+    for (const IfaceId n : neighbors) {
+      const RoutingTable::Diff diff = table.refresh(n);
+      std::set<std::string>& fwd = shadow[n];
+      std::vector<std::string> added;
+      std::vector<std::string> dropped;
+      for (const Filter& f : diff.subscribe) added.push_back(f.key());
+      for (const Filter& f : diff.unsubscribe) dropped.push_back(f.key());
+      // Each list in strict key order; subscribes new, unsubscribes held.
+      ASSERT_TRUE(std::is_sorted(added.begin(), added.end())) << label;
+      ASSERT_TRUE(std::is_sorted(dropped.begin(), dropped.end())) << label;
+      for (const std::string& key : dropped) {
+        ASSERT_EQ(fwd.erase(key), 1u) << label << " unsubscribe " << key;
+      }
+      for (const std::string& key : added) {
+        ASSERT_TRUE(fwd.insert(key).second) << label << " subscribe " << key;
+      }
+      const auto oracle = table.full_recompute(n);
+      std::set<std::string> want;
+      for (const auto& [key, f] : oracle) want.insert(key);
+      ASSERT_EQ(fwd, want) << label << " neighbor " << n;
+      ASSERT_EQ(table.forwarded_size(n), fwd.size()) << label;
+      std::uint64_t digest = 0;
+      for (const std::string& key : fwd) digest ^= util::fnv1a64(key);
+      ASSERT_EQ(table.forwarded_digest(n), digest) << label;
+
+      // Non-vacuity: a retracted cover uncovered something, and an
+      // equivalent pair swapped its canonical representative.
+      for (const Filter& gone : diff.unsubscribe) {
+        for (const Filter& back : diff.subscribe) {
+          if (!gone.covers(back)) continue;
+          if (back.covers(gone)) {
+            ++tie_flips;
+          } else {
+            ++resurfaced;
+          }
+        }
+      }
+    }
+
+    RoutingTable fresh(config);
+    for (const IfaceId n : neighbors) fresh.add_broker_iface(n);
+    for (const auto& [c, subs] : client_state) {
+      for (const auto& [id, f] : subs) fresh.client_subscribe(c, id, f);
+    }
+    for (const auto& [n, wants] : broker_state) {
+      for (const auto& [key, f] : wants) fresh.broker_subscribe(n, f);
+    }
+    for (const IfaceId n : neighbors) fresh.refresh(n);
+    ASSERT_EQ(table.state_fingerprint(), fresh.state_fingerprint()) << label;
+  }
+}
+
+TEST(DifferentialFuzz, IncrementalCoveringMatchesFullRecomputeUnderChurn) {
+  int resurfaced = 0;
+  int tie_flips = 0;
+  for (const std::uint64_t seed : fuzz_seeds()) {
+    for (const bool covering : {true, false}) {
+      for (const bool universal : {true, false}) {
+        int r = 0;
+        int t = 0;
+        run_covering_churn(seed, covering, universal, r, t);
+        if (HasFatalFailure()) return;
+        if (covering) {
+          resurfaced += r;
+          tie_flips += t;
+        }
+      }
+    }
+  }
+  EXPECT_GT(resurfaced, 0);
+  EXPECT_GT(tie_flips, 0);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -188,10 +190,10 @@ TEST(RoutingTable, MatchBatchAgreesWithPerEventMatch) {
   }
 }
 
-// --- indexed covering check vs the naive pairwise oracle --------------------
+// --- incremental covering vs the full-recompute oracle ----------------------
 
 Filter churn_filter(util::Rng& rng) {
-  // The Reef-like population the indexed cover check targets: per-feed
+  // The Reef-like population the covering index targets: per-feed
   // equality subscriptions (massively redundant attributes, distinct
   // values), broad stream filters that cover them, price ranges, prefix
   // content filters, and the occasional universal subscription.
@@ -216,28 +218,45 @@ Filter churn_filter(util::Rng& rng) {
   }
 }
 
-/// Regression gate for the signature-indexed covering check: a table under
-/// 1k-filter churn must hand every neighbor forwarding diffs identical to
-/// the naive-pairwise-loop table fed the same operations.
-TEST(RoutingTable, IndexedCoveringMatchesNaiveDiffsUnder1kChurn) {
-  util::Rng rng(0xc0ffee);
-  RoutingTable indexed(
-      RoutingTable::Config{true, "anchor-index", /*cover_index_enabled=*/true});
-  RoutingTable naive(RoutingTable::Config{true, "anchor-index",
-                                          /*cover_index_enabled=*/false});
-  for (RoutingTable* table : {&indexed, &naive}) {
-    table->add_broker_iface(kNeighbor);
-    table->add_broker_iface(kOtherNeighbor);
-  }
+std::vector<std::string> diff_signature(const RoutingTable::Diff& diff) {
+  std::vector<std::string> sig;
+  sig.reserve(diff.subscribe.size() + diff.unsubscribe.size() + 1);
+  for (const Filter& f : diff.subscribe) sig.push_back("+" + f.key());
+  sig.push_back("|");
+  for (const Filter& f : diff.unsubscribe) sig.push_back("-" + f.key());
+  return sig;
+}
 
-  const auto diff_signature = [](const RoutingTable::Diff& diff) {
-    std::vector<std::string> sig;
-    sig.reserve(diff.subscribe.size() + diff.unsubscribe.size() + 1);
-    for (const Filter& f : diff.subscribe) sig.push_back("+" + f.key());
-    sig.push_back("|");
-    for (const Filter& f : diff.unsubscribe) sig.push_back("-" + f.key());
-    return sig;
-  };
+/// The diff the full recompute predicts for a neighbor whose forwarded
+/// keys are `shadow`: what the oracle wants and the shadow lacks, then
+/// what the shadow holds and the oracle dropped, each in key order. Also
+/// moves `shadow` to the oracle's set.
+std::vector<std::string> oracle_diff(const RoutingTable& table,
+                                     RoutingTable::IfaceId neighbor,
+                                     std::set<std::string>& shadow) {
+  const auto want = table.full_recompute(neighbor);
+  std::vector<std::string> sig;
+  for (const auto& [key, filter] : want) {
+    if (!shadow.contains(key)) sig.push_back("+" + key);
+  }
+  sig.push_back("|");
+  for (const std::string& key : shadow) {
+    if (!want.contains(key)) sig.push_back("-" + key);
+  }
+  shadow.clear();
+  for (const auto& [key, filter] : want) shadow.insert(key);
+  return sig;
+}
+
+/// Regression gate for the incremental covering control plane: a table
+/// under 1k-filter churn must hand every neighbor exactly the diffs that
+/// recomputing its forwarded set from the whole table predicts.
+TEST(RoutingTable, IncrementalRefreshMatchesFullRecomputeUnder1kChurn) {
+  util::Rng rng(0xc0ffee);
+  RoutingTable table;
+  table.add_broker_iface(kNeighbor);
+  table.add_broker_iface(kOtherNeighbor);
+  std::map<RoutingTable::IfaceId, std::set<std::string>> shadow;
 
   std::vector<SubscriptionId> live;
   SubscriptionId next_id = 1;
@@ -250,97 +269,206 @@ TEST(RoutingTable, IndexedCoveringMatchesNaiveDiffsUnder1kChurn) {
     for (int step = 0; step < 20; ++step) {
       const bool add = added < 1000 && (live.empty() || rng.chance(0.75));
       if (add) {
-        const Filter f = churn_filter(rng);
         // Client interface derived from the id so the unsubscribe below
         // can reconstruct the same (client, id) pair.
         const RoutingTable::IfaceId client = 300 + next_id % 4;
-        indexed.client_subscribe(client, next_id, f);
-        naive.client_subscribe(client, next_id, f);
+        table.client_subscribe(client, next_id, churn_filter(rng));
         live.push_back(next_id);
         ++next_id;
         ++added;
       } else if (!live.empty()) {
         const std::size_t idx = rng.index(live.size());
         const RoutingTable::IfaceId client = 300 + live[idx] % 4;
-        EXPECT_TRUE(indexed.client_unsubscribe(client, live[idx]));
-        EXPECT_TRUE(naive.client_unsubscribe(client, live[idx]));
+        EXPECT_TRUE(table.client_unsubscribe(client, live[idx]));
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
       }
     }
     for (const auto neighbor : {kNeighbor, kOtherNeighbor}) {
-      const auto from_indexed = diff_signature(indexed.refresh(neighbor));
-      const auto from_naive = diff_signature(naive.refresh(neighbor));
-      ASSERT_EQ(from_indexed, from_naive)
-          << "round " << round << " neighbor " << neighbor;
-      if (from_indexed.size() > 1) ++checked_diffs;
-      EXPECT_EQ(indexed.forwarded_size(neighbor),
-                naive.forwarded_size(neighbor));
+      const auto expected = oracle_diff(table, neighbor, shadow[neighbor]);
+      const auto got = diff_signature(table.refresh(neighbor));
+      ASSERT_EQ(got, expected) << "round " << round << " neighbor " << neighbor;
+      if (got.size() > 1) ++checked_diffs;
+      EXPECT_EQ(table.forwarded_size(neighbor), shadow[neighbor].size());
     }
   }
   EXPECT_EQ(added, 1000u);
   EXPECT_GT(checked_diffs, 10);  // the churn actually produced diffs
 
   // Final direct check: a fresh neighbor's first refresh carries the
-  // complete covering-minimal form of the final population, so the two
-  // reductions are compared in full, not just their churn deltas.
+  // complete covering-minimal form of the final population, so the whole
+  // set is compared, not just the churn deltas.
   constexpr RoutingTable::IfaceId kFreshNeighbor = 150;
-  indexed.add_broker_iface(kFreshNeighbor);
-  naive.add_broker_iface(kFreshNeighbor);
-  const auto full_indexed = diff_signature(indexed.refresh(kFreshNeighbor));
-  const auto full_naive = diff_signature(naive.refresh(kFreshNeighbor));
-  EXPECT_GT(full_indexed.size(), 1u);
-  EXPECT_EQ(full_indexed, full_naive);
+  table.add_broker_iface(kFreshNeighbor);
+  std::set<std::string> fresh;
+  const auto expected = oracle_diff(table, kFreshNeighbor, fresh);
+  const auto full = diff_signature(table.refresh(kFreshNeighbor));
+  EXPECT_GT(full.size(), 1u);
+  EXPECT_EQ(full, expected);
 }
 
-/// Direct equivalence of the two reductions on adversarial shapes the
-/// churn mix may miss: equivalent filters (canonical-representative
-/// tie-break), chains of mutual covering, and universal filters.
-TEST(RoutingTable, MinimalCoverIndexedEqualsNaiveOnEdgeCases) {
-  const auto run_both = [](const std::vector<Filter>& filters) {
-    std::map<std::string, Filter> input;
-    for (const Filter& f : filters) input.emplace(f.key(), f);
-    const auto a = RoutingTable::minimal_cover_indexed(input);
-    const auto b = RoutingTable::minimal_cover_naive(input);
-    EXPECT_EQ(a.size(), b.size());
-    auto it_a = a.begin();
-    for (const auto& [key, filter] : b) {
-      if (it_a == a.end()) {
-        ADD_FAILURE() << "indexed cover missing key " << key;
-        break;
-      }
-      EXPECT_EQ(it_a->first, key);
-      EXPECT_EQ(it_a->second, filter);
-      ++it_a;
+/// Adversarial shapes the churn mix may miss — equivalent filters
+/// (canonical-representative tie-break), chains of mutual covering,
+/// universal filters — added one by one through the incremental path and
+/// then retracted one by one, each refresh compared with the
+/// full-recompute oracle (minimal_cover_naive over the table).
+TEST(RoutingTable, IncrementalCoverEqualsNaiveOnEdgeCases) {
+  const auto run = [](const std::vector<Filter>& filters) {
+    RoutingTable table;
+    table.add_broker_iface(kNeighbor);
+    std::set<std::string> shadow;
+    const auto check = [&](const std::string& step) {
+      const auto expected = oracle_diff(table, kNeighbor, shadow);
+      EXPECT_EQ(diff_signature(table.refresh(kNeighbor)), expected) << step;
+    };
+    for (std::size_t i = 0; i < filters.size(); ++i) {
+      table.client_subscribe(kClient, i + 1, filters[i]);
+      check("add " + filters[i].key());
     }
-    return a;
+    const auto cover = table.forwarded_filters(kNeighbor);
+    for (std::size_t i = 0; i < filters.size(); ++i) {
+      EXPECT_TRUE(table.client_unsubscribe(kClient, i + 1));
+      check("remove " + filters[i].key());
+    }
+    EXPECT_EQ(table.forwarded_size(kNeighbor), 0u);
+    return cover;
   };
 
   // Universal filter covers everything (and survives alone).
-  auto cover = run_both({Filter(), broad(), feed("http://x/a")});
-  EXPECT_EQ(cover.size(), 1u);
-  EXPECT_TRUE(cover.begin()->second.empty());
+  auto cover = run({Filter(), broad(), feed("http://x/a")});
+  ASSERT_EQ(cover.size(), 1u);
+  EXPECT_TRUE(cover.front().empty());
 
   // Cross-type numeric equality: eq(p, 3) and eq(p, 3.0) are equivalent
   // but have distinct keys — exactly one survives, via the tie-break.
-  cover = run_both({Filter().and_(eq("p", 3)), Filter().and_(eq("p", 3.0))});
+  cover = run({Filter().and_(eq("p", 3)), Filter().and_(eq("p", 3.0))});
   EXPECT_EQ(cover.size(), 1u);
 
   // Range chains: ge 10 covers ge 20 covers ge 30.
-  cover = run_both({Filter().and_(ge("p", 10.0)),
-                    Filter().and_(ge("p", 20.0)),
-                    Filter().and_(ge("p", 30.0))});
+  cover = run({Filter().and_(ge("p", 30.0)), Filter().and_(ge("p", 20.0)),
+               Filter().and_(ge("p", 10.0))});
   EXPECT_EQ(cover.size(), 1u);
 
   // Prefix covers longer prefix and equality; exists covers them all.
-  run_both({Filter().and_(prefix("u", "http://a")),
-            Filter().and_(prefix("u", "http://a/b")),
-            Filter().and_(eq("u", "http://a/b/c")),
-            Filter().and_(exists("u"))});
+  cover = run({Filter().and_(prefix("u", "http://a")),
+               Filter().and_(prefix("u", "http://a/b")),
+               Filter().and_(eq("u", "http://a/b/c")),
+               Filter().and_(exists("u"))});
+  EXPECT_EQ(cover.size(), 1u);
+
+  // Empty sets match nothing, so every filter on the attribute covers
+  // them; ne(s, C) covers both the equality and the set.
+  cover = run({Filter().and_(in_("s", {})), Filter().and_(eq("s", "A")),
+               Filter().and_(in_("s", {Value("A"), Value("B")})),
+               Filter().and_(ne("s", "C"))});
+  EXPECT_EQ(cover.size(), 1u);
 
   // Incomparable mix stays intact.
-  cover = run_both({feed("http://x/a"), feed("http://x/b"),
-                    Filter().and_(ge("price", 5.0))});
+  cover = run({feed("http://x/a"), feed("http://x/b"),
+               Filter().and_(ge("price", 5.0))});
   EXPECT_EQ(cover.size(), 3u);
+}
+
+TEST(RoutingTable, RetractingUniversalFilterResurfacesCoveredInKeyOrder) {
+  RoutingTable table;
+  table.add_broker_iface(kNeighbor);
+  const std::vector<Filter> narrow = {feed("http://x/c"), feed("http://x/a"),
+                                      Filter().and_(ge("price", 5.0)),
+                                      feed("http://x/b")};
+  for (std::size_t i = 0; i < narrow.size(); ++i) {
+    table.client_subscribe(kClient, i + 1, narrow[i]);
+  }
+  table.client_subscribe(kClient, 99, Filter());
+  auto diff = table.refresh(kNeighbor);
+  ASSERT_EQ(diff.subscribe.size(), 1u);
+  EXPECT_TRUE(diff.subscribe.front().empty());
+
+  EXPECT_TRUE(table.client_unsubscribe(kClient, 99));
+  diff = table.refresh(kNeighbor);
+  ASSERT_EQ(diff.unsubscribe.size(), 1u);
+  EXPECT_TRUE(diff.unsubscribe.front().empty());
+  // Every covered filter resurfaces in one diff, sorted by key.
+  std::vector<std::string> got;
+  for (const Filter& f : diff.subscribe) got.push_back(f.key());
+  EXPECT_EQ(got, keys(narrow));
+  EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
+  EXPECT_EQ(table.forwarded_size(kNeighbor), narrow.size());
+}
+
+TEST(RoutingTable, RemovingCanonicalRepresentativeForwardsEquivalent) {
+  RoutingTable table;
+  table.add_broker_iface(kNeighbor);
+  const Filter as_int = Filter().and_(eq("level", 1));
+  const Filter as_double = Filter().and_(eq("level", 1.0));
+  ASSERT_NE(as_int.key(), as_double.key());
+  ASSERT_TRUE(as_int.covers(as_double));
+  ASSERT_TRUE(as_double.covers(as_int));
+  const Filter& first = as_int.key() < as_double.key() ? as_int : as_double;
+  const Filter& second = as_int.key() < as_double.key() ? as_double : as_int;
+  table.client_subscribe(kClient, 1, first);
+  table.client_subscribe(kClient, 2, second);
+  auto diff = table.refresh(kNeighbor);
+  // Mutually covering: only the key-smaller representative crosses.
+  EXPECT_EQ(keys(diff.subscribe), keys({first}));
+
+  EXPECT_TRUE(table.client_unsubscribe(kClient, 1));
+  diff = table.refresh(kNeighbor);
+  EXPECT_EQ(keys(diff.unsubscribe), keys({first}));
+  EXPECT_EQ(keys(diff.subscribe), keys({second}));
+}
+
+TEST(RoutingTable, KeyHeldOnTwoInterfacesStaysVisibleToEach) {
+  RoutingTable table;
+  table.add_broker_iface(kNeighbor);
+  table.add_broker_iface(kOtherNeighbor);
+  const Filter f = feed("http://x/a");
+  EXPECT_TRUE(table.broker_subscribe(kNeighbor, f));
+  EXPECT_TRUE(table.broker_subscribe(kOtherNeighbor, f));
+  // Each neighbor sees the copy the other one holds.
+  EXPECT_EQ(keys(table.refresh(kNeighbor).subscribe), keys({f}));
+  EXPECT_EQ(keys(table.refresh(kOtherNeighbor).subscribe), keys({f}));
+
+  // kNeighbor retracts: kOtherNeighbor no longer sees it (its only holder
+  // is itself), kNeighbor still does.
+  EXPECT_TRUE(table.broker_unsubscribe(kNeighbor, f));
+  EXPECT_TRUE(table.refresh(kNeighbor).empty());
+  EXPECT_EQ(keys(table.refresh(kOtherNeighbor).unsubscribe), keys({f}));
+
+  // And the mirror image.
+  EXPECT_TRUE(table.broker_subscribe(kNeighbor, f));
+  EXPECT_EQ(keys(table.refresh(kOtherNeighbor).subscribe), keys({f}));
+  EXPECT_TRUE(table.broker_unsubscribe(kOtherNeighbor, f));
+  EXPECT_EQ(keys(table.refresh(kNeighbor).unsubscribe), keys({f}));
+  EXPECT_TRUE(table.refresh(kOtherNeighbor).empty());
+  EXPECT_EQ(table.forwarded_size(kNeighbor), 0u);
+  EXPECT_EQ(table.forwarded_size(kOtherNeighbor), 1u);
+}
+
+TEST(RoutingTable, DropBrokerIfaceStateResendsFullSetOnNextRefresh) {
+  RoutingTable table;
+  table.add_broker_iface(kNeighbor);
+  table.add_broker_iface(kOtherNeighbor);
+  table.client_subscribe(kClient, 1, feed("http://x/a"));
+  table.client_subscribe(kClient, 2, feed("http://x/b"));
+  table.broker_subscribe(kOtherNeighbor, Filter().and_(ge("price", 5.0)));
+  table.broker_subscribe(kNeighbor, Filter().and_(ge("price", 1.0)));
+  const auto first = diff_signature(table.refresh(kNeighbor));
+  ASSERT_EQ(first.size(), 4u);  // two feeds, ge(price, 5), separator
+  EXPECT_TRUE(table.refresh(kNeighbor).empty());
+  table.refresh(kOtherNeighbor);
+  const std::uint64_t digest = table.forwarded_digest(kNeighbor);
+  ASSERT_NE(digest, 0u);
+
+  // The neighbor restarted: its filters and what we forwarded it are void.
+  EXPECT_TRUE(table.drop_broker_iface_state(kNeighbor));
+  EXPECT_EQ(table.forwarded_size(kNeighbor), 0u);
+  EXPECT_EQ(table.forwarded_digest(kNeighbor), 0u);
+  // The next refresh re-sends the whole desired set, nothing to retract.
+  EXPECT_EQ(diff_signature(table.refresh(kNeighbor)), first);
+  EXPECT_EQ(table.forwarded_digest(kNeighbor), digest);
+  // The other neighbor loses the dropped ge(price, 1).
+  const auto other = table.refresh(kOtherNeighbor);
+  EXPECT_TRUE(other.subscribe.empty());
+  EXPECT_EQ(keys(other.unsubscribe), keys({Filter().and_(ge("price", 1.0))}));
 }
 
 TEST(RoutingTable, EngineSelectedThroughRegistry) {

@@ -309,11 +309,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShardingDeterminism,
 
 TEST(ShardedRoutingTable, KnobsBuildShardedEngine) {
   // shard_count/worker_threads wrap a plain engine name...
-  RoutingTable wrapped(RoutingTable::Config{true, "bitset", true, 4, 2});
+  RoutingTable wrapped(RoutingTable::Config{
+      .engine = "bitset", .shard_count = 4, .worker_threads = 2});
   EXPECT_EQ(wrapped.matcher().name(), "sharded:bitset");
   // ...a "sharded:" name honors the knobs as given...
   RoutingTable named(
-      RoutingTable::Config{true, "sharded:anchor-index", true, 2, 0});
+      RoutingTable::Config{.engine = "sharded:anchor-index",
+                           .shard_count = 2});
   EXPECT_EQ(named.matcher().name(), "sharded:anchor-index");
   EXPECT_EQ(dynamic_cast<const ShardedMatcher&>(named.matcher())
                 .shard_count(),
@@ -330,7 +332,8 @@ TEST(ShardedRoutingTable, KnobsBuildShardedEngine) {
   EXPECT_EQ(plain.matcher().name(), "anchor-index");
   // Unknown inner engines still fail with the canonical registry error.
   EXPECT_THROW(
-      RoutingTable(RoutingTable::Config{true, "sharded:no-such", true, 4, 0}),
+      RoutingTable(RoutingTable::Config{.engine = "sharded:no-such",
+                                        .shard_count = 4}),
       std::invalid_argument);
 }
 
@@ -362,9 +365,12 @@ TEST(ShardedRoutingTable, MatchAgreesAcrossShardAndWorkerConfigs) {
 
   std::vector<RoutingTable> tables;
   tables.emplace_back(RoutingTable::Config{true, "anchor-index"});
-  tables.emplace_back(RoutingTable::Config{true, "anchor-index", true, 4, 0});
-  tables.emplace_back(RoutingTable::Config{true, "anchor-index", true, 4, 4});
-  tables.emplace_back(RoutingTable::Config{true, "anchor-index", true, 1, 1});
+  tables.emplace_back(RoutingTable::Config{
+      .engine = "anchor-index", .shard_count = 4, .worker_threads = 0});
+  tables.emplace_back(RoutingTable::Config{
+      .engine = "anchor-index", .shard_count = 4, .worker_threads = 4});
+  tables.emplace_back(RoutingTable::Config{
+      .engine = "anchor-index", .shard_count = 1, .worker_threads = 1});
   for (RoutingTable& table : tables) {
     table.add_broker_iface(1);
     for (std::size_t i = 0; i < filters.size(); ++i) {

@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -390,6 +391,90 @@ BENCHMARK_CAPTURE(bm_match_batch_dense, anchor_index, "anchor-index")
 #undef DENSE_ARGS
 BENCHMARK_CAPTURE(bm_match_batch_dense, brute_force, "brute-force")
     ->Args({1000, 128});
+
+// --- scored matching: per-hit score_event vs the compiled batch path --------
+//
+// The dense population again, every filter BM25-scored over a 4-word
+// `title` drawn from 8 words, its query 2 of those words (the overlay
+// benchmark's dense_topk shape). `per_hit` is the pre-compilation scored
+// path — boolean match_batch, then score_event (tokenize, tf map) per hit;
+// `compiled` is Matcher::match_batch_scored (one document per event,
+// term-id query walks per hit). Same scores bit for bit; CI's bench sweep
+// picks these rows up through the 'dense' filter.
+
+constexpr const char* kTitleWords[] = {"alpha", "beta",   "gamma",  "delta",
+                                       "news",  "feed",   "update", "log"};
+
+std::string make_title(reef::util::Rng& rng) {
+  std::string title;
+  for (int t = 0; t < 4; ++t) {
+    if (t != 0) title += ' ';
+    title += kTitleWords[rng.index(std::size(kTitleWords))];
+  }
+  return title;
+}
+
+void bm_match_batch_scored_dense(benchmark::State& state, bool compiled) {
+  const auto table_size = static_cast<std::size_t>(state.range(0));
+  const auto batch_size = static_cast<std::size_t>(state.range(1));
+  reef::util::Rng rng(42);
+  auto matcher = make_matcher("bitset");
+  ScoringIndex scoring;
+  const auto filters = make_dense_filters(table_size, rng);
+  for (std::size_t i = 0; i < filters.size(); ++i) {
+    matcher->add(i + 1, filters[i]);
+    ScoringSpec spec;
+    spec.policy = ScoringPolicy::kBm25;
+    spec.text_attrs = {"title"};
+    spec.top_k = 2;
+    for (int t = 0; t < 2; ++t) {
+      spec.query.push_back({kTitleWords[rng.index(std::size(kTitleWords))],
+                            0.5 + rng.uniform01()});
+    }
+    scoring.set(i + 1, std::move(spec));
+  }
+  std::vector<Event> events;
+  const std::size_t universe = std::max(batch_size, std::size_t{256});
+  for (std::size_t i = 0; i < universe; ++i) {
+    events.push_back(make_dense_event(rng).with("title", make_title(rng)));
+  }
+
+  std::size_t cursor = 0;
+  std::vector<std::vector<SubscriptionId>> hits;
+  std::vector<std::vector<ScoredHit>> scored;
+  std::size_t hit_count = 0;
+  for (auto _ : state) {
+    const std::size_t start = cursor % (events.size() - batch_size + 1);
+    const std::span<const Event> batch(events.data() + start, batch_size);
+    if (compiled) {
+      matcher->match_batch_scored(batch, scoring, scored);
+    } else {
+      matcher->match_batch(batch, hits);
+      scored.assign(batch.size(), {});
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        for (const SubscriptionId id : hits[i]) {
+          scored[i].push_back({id, score_event(*scoring.find(id), batch[i])});
+        }
+      }
+    }
+    for (const auto& event_hits : scored) hit_count += event_hits.size();
+    benchmark::DoNotOptimize(scored.data());
+    cursor = (cursor + batch_size) % events.size();
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * batch_size));
+  state.counters["batch"] = static_cast<double>(batch_size);
+  state.counters["table"] = static_cast<double>(table_size);
+  state.counters["hits_per_event"] =
+      static_cast<double>(hit_count) /
+      static_cast<double>(state.iterations() * batch_size);
+}
+
+// {table size, batch size}
+#define SCORED_ARGS ->Args({1000, 100})->Args({10000, 128})
+BENCHMARK_CAPTURE(bm_match_batch_scored_dense, per_hit, false) SCORED_ARGS;
+BENCHMARK_CAPTURE(bm_match_batch_scored_dense, compiled, true) SCORED_ARGS;
+#undef SCORED_ARGS
 
 // --- range/prefix workload: sorted indexes vs the old scan list -------------
 //

@@ -1,7 +1,5 @@
 #include "ir/tokenizer.h"
 
-#include <algorithm>
-#include <cctype>
 #include <unordered_set>
 
 namespace reef::ir {
@@ -9,27 +7,8 @@ namespace reef::ir {
 std::vector<std::string> tokenize(std::string_view text,
                                   const TokenizerOptions& options) {
   std::vector<std::string> tokens;
-  std::string current;
-  bool all_digits = true;
-  const auto flush = [&] {
-    if (current.size() >= options.min_length &&
-        current.size() <= options.max_length &&
-        !(options.drop_numeric && all_digits)) {
-      tokens.push_back(current);
-    }
-    current.clear();
-    all_digits = true;
-  };
-  for (const char raw : text) {
-    const auto c = static_cast<unsigned char>(raw);
-    if (std::isalnum(c)) {
-      current.push_back(static_cast<char>(std::tolower(c)));
-      if (!std::isdigit(c)) all_digits = false;
-    } else {
-      flush();
-    }
-  }
-  flush();
+  for_each_token(text, options,
+                 [&](std::string_view token) { tokens.emplace_back(token); });
   return tokens;
 }
 

@@ -359,100 +359,112 @@ void Broker::route_scored(
   // window each. The window is the wire-message batch, so its composition
   // depends only on what the publisher framed together, never on engine,
   // shard, worker, or flush-budget choices (see docs/ARCHITECTURE.md
-  // "Scored delivery"). The windows are runs of one flat vector sorted by
-  // (client, subscription, event index), so each run lists its candidates
-  // in ascending event order.
+  // "Scored delivery"). A scored client hit's spec pointer names its
+  // (client, subscription): the table keeps one registration, and so one
+  // stored spec, per pair. The scratch below lives for this batch only;
+  // kept across batches it would pin every broker's largest batch.
   struct Candidate {
-    sim::NodeId iface;
-    SubscriptionId sub;
-    std::uint32_t index;
+    std::uint32_t window;
+    std::uint32_t index;  // event index in the batch
+    std::uint32_t pos;    // flat hit position in `keep`
     double score;
-    const ScoringSpec* spec;
   };
-  std::vector<Candidate> cands;
+  struct Window {
+    const ScoringSpec* spec;
+    std::uint32_t begin;  // first candidate in `runs`
+    std::uint32_t end;    // one past its last (a fill cursor while built)
+  };
+  std::vector<std::uint8_t> keep;  // parallel to the flattened hits
+  std::vector<Candidate> cands;    // hit order
+  std::vector<Window> windows;     // numbered in order of first hit
+  std::unordered_map<const ScoringSpec*, std::uint32_t> window_of;
   for (std::size_t i = 0; i < events.size(); ++i) {
     for (const RoutingTable::ScoredDestination& sd : hits[i]) {
+      const auto pos = static_cast<std::uint32_t>(keep.size());
+      keep.push_back(1);
       if (sd.dest.is_broker || sd.scoring == nullptr) continue;
       if (sd.dest.iface == from) continue;  // never echo back
       ++stats_.scored_matches;
-      cands.push_back(Candidate{sd.dest.iface, sd.dest.client_sub,
-                                static_cast<std::uint32_t>(i), sd.score,
-                                sd.scoring});
+      const auto [it, fresh] = window_of.try_emplace(
+          sd.scoring, static_cast<std::uint32_t>(windows.size()));
+      if (fresh) windows.push_back(Window{sd.scoring, 0, 0});
+      ++windows[it->second].end;  // a count until the prefix sum below
+      cands.push_back(Candidate{it->second, static_cast<std::uint32_t>(i),
+                                pos, sd.score});
     }
   }
-  std::sort(cands.begin(), cands.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.iface != b.iface) return a.iface < b.iface;
-              if (a.sub != b.sub) return a.sub < b.sub;
-              return a.index < b.index;
-            });
-  // Pass 2: per window, the min_score filter then the bounded top-k cut.
-  // Ties at the cut break by ascending event order (TopKSelector), so the
-  // surviving set is a pure function of the window's (event, score) pairs.
-  std::vector<Suppressed> suppressed;
-  for (auto window = cands.begin(); window != cands.end();) {
-    const auto end = std::find_if(window, cands.end(),
-                                  [&first = *window](const Candidate& c) {
-                                    return c.iface != first.iface ||
-                                           c.sub != first.sub;
-                                  });
-    const ScoringSpec& spec = *window->spec;
-    TopKSelector topk(spec.top_k);
-    std::size_t eligible = 0;
-    for (auto c = window; c != end; ++c) {
+  // A stable counting sort by window turns each window into a run of its
+  // candidates in ascending event order — no comparison sort.
+  std::uint32_t next = 0;
+  for (Window& window : windows) {
+    window.begin = next;
+    next += window.end;
+    window.end = window.begin;
+  }
+  std::vector<Candidate> runs(cands.size());
+  for (const Candidate& c : cands) runs[windows[c.window].end++] = c;
+  // Pass 2: per window, the min_score filter then the bounded top-k cut,
+  // clearing the keep flag of every suppressed candidate. Ties at the cut
+  // break by ascending event order (TopKSelector), so the surviving set is
+  // a pure function of the window's (event, score) pairs.
+  TopKSelector topk;
+  std::vector<std::uint32_t> survivors;
+  for (const Window& window : windows) {
+    const ScoringSpec& spec = *window.spec;
+    const auto begin = runs.begin() + window.begin;
+    const auto end = runs.begin() + window.end;
+    std::uint32_t eligible = 0;
+    for (auto c = begin; c != end; ++c) {
       if (c->score < spec.min_score) {
         ++stats_.suppressed_by_threshold;
-        suppressed.push_back(Suppressed{c->index, c->iface, c->sub});
-        continue;
-      }
-      ++eligible;
-      topk.offer(c->score, c->index);
-    }
-    const std::vector<std::uint32_t> survivors = topk.take();
-    if (survivors.size() != eligible) {
-      stats_.suppressed_by_k += eligible - survivors.size();
-      // The window is in ascending event order and survivors is sorted,
-      // so one linear merge marks the evicted candidates.
-      std::size_t next = 0;
-      for (auto c = window; c != end; ++c) {
-        if (c->score < spec.min_score) continue;  // marked above
-        if (next < survivors.size() && survivors[next] == c->index) {
-          ++next;
-          continue;
-        }
-        suppressed.push_back(Suppressed{c->index, c->iface, c->sub});
+        keep[c->pos] = 0;
+      } else {
+        ++eligible;
       }
     }
-    window = end;
+    if (spec.top_k == 0 || eligible <= spec.top_k) continue;  // no cut
+    topk.reset(spec.top_k);
+    for (auto c = begin; c != end; ++c) {
+      if (keep[c->pos] != 0) topk.offer(c->score, c->index);
+    }
+    topk.take(survivors);
+    stats_.suppressed_by_k += eligible - survivors.size();
+    // The run is in ascending event order and survivors is sorted, so one
+    // linear merge marks the evicted candidates.
+    std::size_t kept = 0;
+    for (auto c = begin; c != end; ++c) {
+      if (keep[c->pos] == 0) continue;  // below the threshold
+      if (kept < survivors.size() && survivors[kept] == c->index) {
+        ++kept;
+      } else {
+        keep[c->pos] = 0;
+      }
+    }
   }
-  std::sort(suppressed.begin(), suppressed.end());
   // Pass 3: the boolean routing pass, per event in batch order, skipping
   // suppressed deliveries and attaching scores.
+  std::size_t offset = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
-    route_event_scored(from, events[i], static_cast<std::uint32_t>(i),
-                       hits[i], suppressed);
+    route_event_scored(
+        from, events[i], hits[i],
+        std::span<const std::uint8_t>(keep).subspan(offset, hits[i].size()));
+    offset += hits[i].size();
   }
 }
 
 void Broker::route_event_scored(
-    sim::NodeId from, const Event& event, std::uint32_t event_index,
+    sim::NodeId from, const Event& event,
     const std::vector<RoutingTable::ScoredDestination>& hits,
-    const std::vector<Suppressed>& suppressed) {
+    std::span<const std::uint8_t> keep) {
   // Mirrors route_event through the same grouping pass. Scores never
   // influence grouping or order — a scored delivery leaves in exactly the
   // position its boolean twin would have.
   route_hits_.clear();
-  for (const RoutingTable::ScoredDestination& sd : hits) {
+  for (std::size_t j = 0; j < hits.size(); ++j) {
+    const RoutingTable::ScoredDestination& sd = hits[j];
     if (sd.dest.iface == from) continue;  // never echo back
-    if (sd.dest.is_broker) {
-      if (quarantined_.contains(sd.dest.iface)) continue;
-    } else if (sd.scoring != nullptr &&
-               std::binary_search(
-                   suppressed.begin(), suppressed.end(),
-                   Suppressed{event_index, sd.dest.iface,
-                              sd.dest.client_sub})) {
-      continue;
-    }
+    if (sd.dest.is_broker && quarantined_.contains(sd.dest.iface)) continue;
+    if (keep[j] == 0) continue;  // suppressed by its delivery policy
     route_hits_.push_back(RouteHit{sd.dest.iface, sd.dest.is_broker,
                                    sd.scoring != nullptr, sd.dest.client_sub,
                                    sd.score});

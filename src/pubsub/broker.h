@@ -295,36 +295,28 @@ class Broker final : public sim::Node {
   void emit_route_hits(const Event& event);
 
   // --- scored delivery (Config::scoring_enabled) ---
-  /// An (event index, client iface, client sub) triple suppressed by a
-  /// delivery policy within one publication batch; route_scored keeps
-  /// them in a sorted vector probed by binary search.
-  struct Suppressed {
-    std::uint32_t event_index = 0;
-    sim::NodeId iface = sim::kNoNode;
-    SubscriptionId sub = 0;
-    friend auto operator<=>(const Suppressed&, const Suppressed&) = default;
-  };
-
   /// The scored twin of the publish path: applies each non-neutral
   /// subscription's min_score filter and top-k cut over the *publication
   /// batch* (the events of this one wire message — the deterministic
-  /// top-k window; see docs/ARCHITECTURE.md "Scored delivery"), then
-  /// routes each event in batch order with the suppression set applied
-  /// and scores attached. With no non-neutral subscription matched, the
-  /// output is byte-identical to the boolean path.
+  /// top-k window; see docs/ARCHITECTURE.md "Scored delivery"), recording
+  /// the verdicts in a keep mask parallel to `hits`, then routes each
+  /// event in batch order with the mask applied and scores attached. With
+  /// no non-neutral subscription matched, the output is byte-identical to
+  /// the boolean path.
   void route_scored(
       sim::NodeId from, std::span<const Event> events,
       const std::vector<std::vector<RoutingTable::ScoredDestination>>& hits);
 
-  /// route_event with scoring decoration: suppressed client destinations
-  /// are skipped, and the per-client matched-sub list carries parallel
-  /// scores when any matched subscription is non-neutral. Grouping and
-  /// ordering are identical to route_event — delivery order keys on
-  /// canonical event order and sorted sub ids, never on score.
+  /// route_event with scoring decoration: client destinations whose
+  /// `keep` flag (parallel to `hits`) is 0 are skipped, and the
+  /// per-client matched-sub list carries parallel scores when any matched
+  /// subscription is non-neutral. Grouping and ordering are identical to
+  /// route_event — delivery order keys on canonical event order and
+  /// sorted sub ids, never on score.
   void route_event_scored(
-      sim::NodeId from, const Event& event, std::uint32_t event_index,
+      sim::NodeId from, const Event& event,
       const std::vector<RoutingTable::ScoredDestination>& hits,
-      const std::vector<Suppressed>& suppressed);
+      std::span<const std::uint8_t> keep);
 
   /// Sends the refresh diff for `neighbor` computed by the routing table.
   void refresh_neighbor(sim::NodeId neighbor);

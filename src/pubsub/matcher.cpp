@@ -32,13 +32,12 @@ void Matcher::match_batch_scored(
   std::vector<std::vector<SubscriptionId>> hits;
   match_batch(events, hits);
   out.assign(events.size(), {});
+  ScoringIndex::Scorer scorer(scoring);
   for (std::size_t i = 0; i < events.size(); ++i) {
+    scorer.start(events[i]);
     out[i].reserve(hits[i].size());
     for (const SubscriptionId id : hits[i]) {
-      const ScoringSpec* spec = scoring.find(id);
-      out[i].push_back(
-          {id, spec != nullptr ? score_event(*spec, events[i])
-                               : kConstantScore});
+      out[i].push_back({id, scorer.score(id).score});
     }
   }
 }

@@ -56,38 +56,6 @@ struct ScoredHit {
   friend bool operator==(const ScoredHit&, const ScoredHit&) = default;
 };
 
-/// Registry of the non-neutral scoring specs among a matcher's
-/// subscriptions, consulted by Matcher::match_batch_scored. Subscriptions
-/// absent here score kConstantScore. Kept outside the engines on purpose:
-/// scores *decorate* boolean matching (they are a pure function of (spec,
-/// event), computed after the match), so no engine — sharded or not —
-/// needs to know scoring exists, and identical match sets imply identical
-/// scored output by construction.
-class ScoringIndex {
- public:
-  /// Registers (or replaces) the spec for `id`. Neutral specs are
-  /// dropped — they are indistinguishable from absence.
-  void set(SubscriptionId id, ScoringSpec spec) {
-    if (spec.neutral()) {
-      specs_.erase(id);
-    } else {
-      specs_[id] = std::move(spec);
-    }
-  }
-  void erase(SubscriptionId id) { specs_.erase(id); }
-  /// Spec for `id`, or nullptr when it scores the neutral constant. The
-  /// pointer is stable until that id is set/erased (node-based map).
-  const ScoringSpec* find(SubscriptionId id) const {
-    const auto it = specs_.find(id);
-    return it == specs_.end() ? nullptr : &it->second;
-  }
-  std::size_t size() const noexcept { return specs_.size(); }
-  bool empty() const noexcept { return specs_.empty(); }
-
- private:
-  std::unordered_map<SubscriptionId, ScoringSpec> specs_;
-};
-
 /// Normalizes ints with an exact double image to that double, so Eq(3) and
 /// an event value 3.0 land in the same hash bucket (Value::compare treats
 /// them as equal). Ints beyond 2^53 whose image would round keep their int
@@ -197,14 +165,15 @@ class Matcher {
   }
 
   /// Scored batch matching: runs the engine's match_batch, then decorates
-  /// each hit with score_event under its spec in `scoring` (kConstantScore
-  /// for ids with no spec). Non-virtual on purpose — scoring happens on
-  /// the calling thread *after* the (possibly sharded, multi-threaded)
-  /// boolean match merges, so every engine inherits the same scored
-  /// output for the same match sets, and the batch-composition
-  /// independence of contract point 2 extends to scores: a sub-batch view
-  /// produces exactly the (id, score) lists the full batch would have at
-  /// those positions.
+  /// each hit with its score under its spec in `scoring` (kConstantScore
+  /// for ids with no spec) through the compiled ScoringIndex::Scorer —
+  /// bit-identical to score_event. Non-virtual on purpose — scoring
+  /// happens on the calling thread *after* the (possibly sharded,
+  /// multi-threaded) boolean match merges, so every engine inherits the
+  /// same scored output for the same match sets, and the
+  /// batch-composition independence of contract point 2 extends to
+  /// scores: a sub-batch view produces exactly the (id, score) lists the
+  /// full batch would have at those positions.
   void match_batch_scored(const EventBatchView& events,
                           const ScoringIndex& scoring,
                           std::vector<std::vector<ScoredHit>>& out) const;

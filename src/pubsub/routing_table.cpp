@@ -813,14 +813,20 @@ void RoutingTable::match_batch(
 void RoutingTable::match_batch_scored(
     std::span<const Event> events,
     std::vector<std::vector<ScoredDestination>>& out) const {
-  std::vector<std::vector<ScoredHit>> engine_hits;
-  matcher_->match_batch_scored(events, scoring_index_, engine_hits);
+  // The boolean batch, then Matcher::match_batch_scored's scoring loop
+  // inlined so each hit's spec is looked up once for both its score and
+  // its delivery policy.
+  std::vector<std::vector<SubscriptionId>> engine_hits;
+  matcher_->match_batch(events, engine_hits);
   out.assign(events.size(), {});
+  ScoringIndex::Scorer scorer(scoring_index_);
   for (std::size_t i = 0; i < events.size(); ++i) {
+    scorer.start(events[i]);
     out[i].reserve(engine_hits[i].size());
-    for (const ScoredHit& hit : engine_hits[i]) {
-      out[i].push_back(ScoredDestination{destination_of(hit.id), hit.score,
-                                         scoring_index_.find(hit.id)});
+    for (const std::uint64_t engine_id : engine_hits[i]) {
+      const ScoringIndex::Scorer::Result scored = scorer.score(engine_id);
+      out[i].push_back(ScoredDestination{destination_of(engine_id),
+                                         scored.score, scored.spec});
     }
   }
 }

@@ -202,12 +202,13 @@ class RoutingTable {
   void match_batch(std::span<const Event> events,
                    std::vector<std::vector<Destination>>& out) const;
 
-  /// Scored batch matching through Matcher::match_batch_scored: same
-  /// destinations as match_batch, each decorated with its relevance score
-  /// and (for client subscriptions with a non-neutral spec) the delivery
-  /// policy. Scores are computed after the boolean match on the calling
-  /// thread, so they are identical for every engine/shard/worker config
-  /// that agrees on the match sets — which the Matcher contract
+  /// Scored batch matching, the same steps as Matcher::match_batch_scored:
+  /// same destinations as match_batch, each decorated with its relevance
+  /// score and (for client subscriptions with a non-neutral spec) the
+  /// delivery policy, both from one compiled-spec lookup per hit (see
+  /// ScoringIndex). Scores are computed after the boolean match on the
+  /// calling thread, so they are identical for every engine/shard/worker
+  /// config that agrees on the match sets — which the Matcher contract
   /// guarantees.
   void match_batch_scored(std::span<const Event> events,
                           std::vector<std::vector<ScoredDestination>>& out)
@@ -327,8 +328,8 @@ class RoutingTable {
 
   std::unique_ptr<Matcher> matcher_;
   std::unordered_map<std::uint64_t, EngineEntry> entries_;
-  /// Non-neutral specs by engine id, mirroring entries_ (the scored match
-  /// path's lookup surface; see Matcher::match_batch_scored).
+  /// Non-neutral specs by engine id, compiled, mirroring entries_ (the
+  /// scored match path's lookup surface; see ScoringIndex).
   ScoringIndex scoring_index_;
   std::uint64_t next_engine_id_ = 1;
 

@@ -29,10 +29,26 @@
 // within the publication batch — never by hit order, shard order, or
 // thread schedule. Identical match sets therefore imply identical scored
 // delivery, byte for byte.
+//
+// Two implementations of the one score function:
+//   * score_event — the reference: tokenizes the spec's attributes of one
+//     event into a bag of words and sums the query against it. Simple,
+//     allocation-heavy, and the oracle every test compares against.
+//   * ScoringIndex + ScoringIndex::Scorer — the hot path the matchers and
+//     the routing table use: specs are compiled to term ids when they are
+//     set, each (event, attribute list) document is built once per batch,
+//     and each hit is a walk over its compiled query. Bit-identical to
+//     score_event by construction (same tokens, same length, same
+//     query-order summation) and by test.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ir/term_weighting.h"
@@ -133,17 +149,25 @@ double score_event(const ScoringSpec& spec, const Event& event);
 /// deterministic tie rule the scored delivery contract requires. k = 0
 /// means unlimited (every offered candidate survives). Standard bounded
 /// priority queue: a k-sized heap with the *worst* kept candidate at the
-/// root, so each offer is O(log k) and order-insensitive.
+/// root, so each offer is O(log k) and order-insensitive. One selector
+/// serves many windows: reset() re-arms it with a new k and take(out)
+/// refills a caller-owned vector, so neither allocates once warm.
 class TopKSelector {
  public:
-  explicit TopKSelector(std::uint32_t k) : k_(k) {}
+  explicit TopKSelector(std::uint32_t k = 0) : k_(k) {}
+
+  /// Drops every offered candidate and sets the bound to `k`.
+  void reset(std::uint32_t k) noexcept {
+    heap_.clear();
+    k_ = k;
+  }
 
   void offer(double score, std::uint32_t order);
 
-  /// Surviving candidates' orders, sorted ascending (canonical event
-  /// order — survivors are *delivered* in event order, never score
-  /// order). Resets the selector.
-  std::vector<std::uint32_t> take();
+  /// Replaces `orders` with the surviving candidates' orders, sorted
+  /// ascending (canonical event order — survivors are *delivered* in
+  /// event order, never score order). Empties the selector; k is kept.
+  void take(std::vector<std::uint32_t>& orders);
 
   std::size_t size() const noexcept { return heap_.size(); }
 
@@ -162,6 +186,116 @@ class TopKSelector {
 
   std::vector<Entry> heap_;  // min-heap by keep-priority (root = worst)
   std::uint32_t k_ = 0;
+};
+
+/// Registry of the non-neutral scoring specs among a table's
+/// subscriptions, each *compiled* when it is set, and the batch scorer
+/// that reads them. Subscriptions absent here score kConstantScore.
+/// Kept outside the engines on purpose: scores decorate boolean matching
+/// (a pure function of (spec, event), computed after the match), so no
+/// engine — sharded or not — needs to know scoring exists, and identical
+/// match sets imply identical scored output by construction.
+///
+/// Compiling a kBm25 spec interns its query terms into a per-index term
+/// dictionary that holds query terms only (reference-counted, so churn
+/// does not grow it), clamps each weight to >= 0, and resolves its text
+/// attributes to a shared AttrId list. Scorer then builds one document
+/// per (event, distinct attribute list) and scores every hit against it,
+/// so a publication batch costs tokens-per-event plus query-terms-per-hit
+/// instead of tokens-per-hit. Compiled scores are bit-identical to
+/// score_event — same tokens, same length, same query-order summation —
+/// which stays as the oracle (tests/pubsub_scoring_test.cpp compares the
+/// two bit for bit).
+class ScoringIndex {
+ public:
+  /// Registers (or replaces) the spec for `id`. Neutral specs are
+  /// dropped — they are indistinguishable from absence.
+  void set(SubscriptionId id, ScoringSpec spec);
+  void erase(SubscriptionId id);
+  /// Spec for `id`, or nullptr when it scores the neutral constant. The
+  /// pointer is stable until that id is set/erased (node-based map).
+  const ScoringSpec* find(SubscriptionId id) const;
+  std::size_t size() const noexcept { return specs_.size(); }
+  bool empty() const noexcept { return specs_.empty(); }
+  /// Distinct query terms currently in the dictionary.
+  std::size_t term_count() const noexcept { return terms_.size(); }
+
+  class Scorer;
+
+ private:
+  using TermId = std::uint32_t;
+  struct QueryTerm {
+    TermId term = 0;
+    double weight = 0.0;  // max(spec weight, 0)
+  };
+  struct Entry {
+    ScoringSpec spec;
+    bool bm25 = false;
+    std::vector<QueryTerm> query;  // spec query order, duplicates kept
+    std::uint32_t attr_list = 0;   // index into attr_lists_ (bm25 only)
+  };
+  struct AttrList {
+    std::vector<AttrId> attrs;  // spec order, duplicates kept
+    std::uint32_t refs = 0;     // 0 = free slot
+  };
+  struct StringHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
+  void compile(Entry& entry);
+  void release(const Entry& entry);
+
+  std::unordered_map<SubscriptionId, Entry> specs_;
+  std::unordered_map<std::string, TermId, StringHash, std::equal_to<>> terms_;
+  std::vector<std::uint32_t> term_refs_;  // by TermId; 0 = free id
+  std::vector<TermId> free_terms_;
+  std::vector<AttrList> attr_lists_;
+  std::map<std::vector<AttrId>, std::uint32_t> attr_list_ids_;
+  std::vector<std::uint32_t> free_attr_lists_;
+  std::vector<AttrId> attr_scratch_;  // compile()'s lookup key, reused
+};
+
+/// Scores the hits of a publication batch against a ScoringIndex, event
+/// by event: start(event), then score(id) per hit. Each (event, attribute
+/// list) document — the dictionary terms' frequencies plus the full token
+/// count — is built at most once, on the first hit that needs it. The
+/// index must not change while a Scorer is in use.
+class ScoringIndex::Scorer {
+ public:
+  explicit Scorer(const ScoringIndex& index) : index_(index) {}
+
+  /// Makes `event` (which must outlive the following score() calls) the
+  /// event being scored.
+  void start(const Event& event) noexcept {
+    event_ = &event;
+    ++stamp_;
+  }
+
+  struct Result {
+    double score = kConstantScore;
+    const ScoringSpec* spec = nullptr;  ///< nullptr: no spec (neutral)
+  };
+  /// score_event(*find(id), event) — bit for bit — with the spec found by
+  /// the same single lookup.
+  Result score(SubscriptionId id);
+
+ private:
+  struct Document {
+    std::uint64_t stamp = 0;  // start() generation it was built for
+    std::size_t len = 0;      // every token, dictionary term or not
+    double norm = 0.0;        // BM25 length normalization for len
+    std::vector<std::uint32_t> tf;  // by TermId; 0 = absent
+    std::vector<TermId> terms;      // the nonzero entries of tf
+  };
+  const Document& document(std::uint32_t attr_list);
+
+  const ScoringIndex& index_;
+  const Event* event_ = nullptr;
+  std::uint64_t stamp_ = 0;
+  std::vector<Document> docs_;  // by attribute list
 };
 
 }  // namespace reef::pubsub

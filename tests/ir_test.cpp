@@ -40,6 +40,74 @@ TEST(Tokenizer, MaxLengthDropsMonsterTokens) {
   EXPECT_EQ(tokens, (std::vector<std::string>{"short", "ok"}));
 }
 
+// Table-driven pin of the tokenizer's contract: one row per behaviour,
+// each checked through tokenize() and through the allocation-free
+// for_each_token() walk it is built on.
+struct TokenCase {
+  const char* name;
+  std::string input;
+  std::vector<std::string> expected;
+  TokenizerOptions options = {};
+};
+
+TokenizerOptions with_lengths(std::size_t min_length, std::size_t max_length) {
+  TokenizerOptions options;
+  options.min_length = min_length;
+  options.max_length = max_length;
+  return options;
+}
+
+const std::vector<TokenCase>& token_cases() {
+  static const std::vector<TokenCase> kCases = {
+      {"punctuation separates", "Hello, World! (news)",
+       {"hello", "world", "news"}},
+      {"hyphens separate", "stop-the-press", {"stop", "the", "press"}},
+      {"apostrophes separate, the 1-char tail drops", "don't it's",
+       {"don", "it"}},
+      {"mixed case lowers", "MiXeD CASE", {"mixed", "case"}},
+      {"c++20 leaves a 1-char c and an all-digit 20", "c++20", {}},
+      {"mixed alphanumerics stay", "4a x9 12ab", {"4a", "x9", "12ab"}},
+      {"all-digit tokens drop", "2024 42 007", {}},
+      {"all-digit tokens stay without drop_numeric", "2024 a",
+       {"2024", "a"},
+       [] {
+         TokenizerOptions options = with_lengths(1, 40);
+         options.drop_numeric = false;
+         return options;
+       }()},
+      {"length 1 drops at the default minimum", "a b ab", {"ab"}},
+      {"length 1 stays at min_length 1", "a b", {"a", "b"},
+       with_lengths(1, 40)},
+      {"length 2 is the default minimum", "ab", {"ab"}},
+      {"length 40 is the default maximum", std::string(40, 'q'),
+       {std::string(40, 'q')}},
+      {"length 41 drops", std::string(41, 'q') + " ok", {"ok"}},
+      {"a token past the inline buffer", std::string(80, 'Z'),
+       {std::string(80, 'z')}, with_lengths(2, 100)},
+      {"UTF-8 bytes separate", "café naïve", {"caf", "na", "ve"}},
+      {"empty string", "", {}},
+      {"whitespace only", " \t\n  ", {}},
+      {"separators only", "--,,!!", {}},
+      {"leading and trailing separators", "  log  ", {"log"}},
+  };
+  return kCases;
+}
+
+TEST(Tokenizer, TableThroughTokenize) {
+  for (const TokenCase& c : token_cases()) {
+    EXPECT_EQ(tokenize(c.input, c.options), c.expected) << c.name;
+  }
+}
+
+TEST(Tokenizer, TableThroughForEachToken) {
+  for (const TokenCase& c : token_cases()) {
+    std::vector<std::string> got;
+    for_each_token(c.input, c.options,
+                   [&](std::string_view token) { got.emplace_back(token); });
+    EXPECT_EQ(got, c.expected) << c.name;
+  }
+}
+
 TEST(Stopwords, CommonWordsAreStopwords) {
   for (const char* w : {"the", "and", "of", "is", "www", "http"}) {
     EXPECT_TRUE(is_stopword(w)) << w;

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "pubsub/scoring.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace reef::pubsub {
 namespace {
@@ -145,7 +148,9 @@ std::vector<std::uint32_t> offer_all(
     std::uint32_t k, const std::vector<std::pair<double, std::uint32_t>>& c) {
   TopKSelector topk(k);
   for (const auto& [score, order] : c) topk.offer(score, order);
-  return topk.take();
+  std::vector<std::uint32_t> orders;
+  topk.take(orders);
+  return orders;
 }
 
 TEST(TopKSelector, ZeroMeansUnlimited) {
@@ -189,13 +194,24 @@ TEST(TopKSelector, OfferOrderInsensitive) {
   } while (std::next_permutation(cands.begin(), cands.end()));
 }
 
-TEST(TopKSelector, TakeResetsTheSelector) {
+TEST(TopKSelector, TakeEmptiesTheSelectorAndResetRearmsIt) {
   TopKSelector topk(1);
+  std::vector<std::uint32_t> orders = {99};  // take replaces, not appends
   topk.offer(0.9, 7);
-  EXPECT_EQ(topk.take(), (std::vector<std::uint32_t>{7}));
+  topk.take(orders);
+  EXPECT_EQ(orders, (std::vector<std::uint32_t>{7}));
   EXPECT_EQ(topk.size(), 0u);
   topk.offer(0.1, 3);
-  EXPECT_EQ(topk.take(), (std::vector<std::uint32_t>{3}));
+  topk.take(orders);
+  EXPECT_EQ(orders, (std::vector<std::uint32_t>{3}));
+  // One selector serves window after window: reset drops what was
+  // offered and sets the next window's k.
+  topk.offer(0.5, 1);
+  topk.reset(2);
+  EXPECT_EQ(topk.size(), 0u);
+  for (const std::uint32_t order : {4u, 5u, 6u}) topk.offer(0.5, order);
+  topk.take(orders);
+  EXPECT_EQ(orders, (std::vector<std::uint32_t>{4, 5}));
 }
 
 // --- match_batch_scored across the engine registry ---------------------------
@@ -273,6 +289,163 @@ TEST(MatchBatchScored, SubBatchViewScoresComposeWithFullBatch) {
           << name << " pos " << pos;
     }
   }
+}
+
+// --- compiled scoring vs the score_event oracle ------------------------------
+//
+// ScoringIndex compiles each spec and ScoringIndex::Scorer scores from one
+// document per (event, attribute list); score_event tokenizes per call.
+// Their doubles must agree bit for bit — the top-k cut compares them, so
+// an ulp of drift would move deliveries. The seeded generator aims at the
+// compiled path's edges: duplicate, negative, zero, unmatchable
+// (upper-case, punctuated, empty) query terms; attribute lists with
+// repeats, missing, non-string and never-carried attributes; empty and
+// separator-only text; constant-policy specs; and batches that mix specs
+// over different attribute lists. Queries run up to 6 terms over a small
+// vocabulary, so most hits sum 3+ nonzero terms, where a summation order
+// other than the query order changes the last bits.
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+constexpr const char* kQueryWords[] = {
+    "log", "feed", "news", "alpha", "beta", "gamma", "c20",  "4a",
+    "Log", "feed!", "",    "café", "caf",  "don",   "2024", "news"};
+constexpr const char* kTextWords[] = {"log",  "feed", "news", "alpha", "beta",
+                                      "gamma", "LOG", "c++20", "4a",   "café",
+                                      "don't", "2024", "x"};
+constexpr const char* kSeparators[] = {" ", "-", ", ", "'", "  \t"};
+ScoringSpec random_spec(util::Rng& rng,
+                        const std::vector<std::string>& text_attrs) {
+  ScoringSpec spec;
+  if (rng.chance(0.1)) {  // constant policy, non-neutral through its knobs
+    spec.top_k = 1 + static_cast<std::uint32_t>(rng.index(3));
+    return spec;
+  }
+  spec.policy = ScoringPolicy::kBm25;
+  spec.top_k = static_cast<std::uint32_t>(rng.index(3));
+  const std::size_t terms = rng.index(7);
+  for (std::size_t t = 0; t < terms; ++t) {
+    double weight = 0.1 + 3.0 * rng.uniform01();
+    if (rng.chance(0.1)) weight = 0.0;
+    if (rng.chance(0.1)) weight = -1.5;
+    spec.query.push_back(
+        {kQueryWords[rng.index(std::size(kQueryWords))], weight});
+  }
+  const std::size_t attrs = rng.index(4);
+  for (std::size_t a = 0; a < attrs; ++a) {
+    spec.text_attrs.push_back(text_attrs[rng.index(text_attrs.size())]);
+  }
+  return spec;
+}
+
+std::string random_text(util::Rng& rng) {
+  if (rng.chance(0.05)) return "";
+  if (rng.chance(0.05)) return " \t ";
+  std::string text;
+  const std::size_t words = 1 + rng.index(12);
+  for (std::size_t w = 0; w < words; ++w) {
+    if (w != 0) text += kSeparators[rng.index(std::size(kSeparators))];
+    text += kTextWords[rng.index(std::size(kTextWords))];
+  }
+  return text;
+}
+
+Event random_scored_event(util::Rng& rng) {
+  Event event;
+  if (rng.chance(0.8)) event.with("scoring_test_title", random_text(rng));
+  if (rng.chance(0.5)) event.with("scoring_test_text", random_text(rng));
+  if (rng.chance(0.5)) {  // a designated attribute with a non-string value
+    event.with("scoring_test_num",
+               static_cast<std::int64_t>(rng.index(100)));
+  }
+  return event;
+}
+
+TEST(CompiledScoring, BitIdenticalToScoreEventOnSeededBatches) {
+  static int run = 0;  // a fresh never-interned name per run (gtest_repeat)
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    util::Rng rng(seed);
+    // The last attribute is no event's and not yet interned when the
+    // first spec naming it compiles.
+    const std::string unseen = "scoring_test_unseen_" + std::to_string(run++);
+    ASSERT_EQ(AttrTable::instance().lookup(unseen), kNoAttrId);
+    const std::vector<std::string> text_attrs = {
+        "scoring_test_title", "scoring_test_text", "scoring_test_num", unseen};
+    std::vector<ScoringSpec> specs;
+    ScoringIndex index;
+    BruteForceMatcher matcher;  // universal filters: every id hits
+    for (SubscriptionId id = 1; id <= 24; ++id) {
+      specs.push_back(random_spec(rng, text_attrs));
+      index.set(id, specs.back());
+      matcher.add(id, Filter());
+    }
+    std::vector<Event> events;
+    for (int e = 0; e < 16; ++e) events.push_back(random_scored_event(rng));
+
+    // Directly through the Scorer, hits in a seeded order per event.
+    ScoringIndex::Scorer scorer(index);
+    for (const Event& event : events) {
+      scorer.start(event);
+      for (std::size_t n = 0; n < specs.size(); ++n) {
+        const SubscriptionId id = 1 + rng.index(specs.size());
+        const ScoringSpec& spec = specs[id - 1];
+        const ScoringIndex::Scorer::Result got = scorer.score(id);
+        EXPECT_EQ(bits(got.score), bits(score_event(spec, event)))
+            << "seed " << seed << " " << spec.summary() << " on "
+            << event.to_string();
+        EXPECT_EQ(got.spec, index.find(id));
+      }
+    }
+    // And through the batch path every matcher inherits.
+    std::vector<std::vector<ScoredHit>> scored;
+    matcher.match_batch_scored(events, index, scored);
+    ASSERT_EQ(scored.size(), events.size());
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      ASSERT_EQ(scored[i].size(), specs.size());
+      for (const ScoredHit& hit : scored[i]) {
+        EXPECT_EQ(bits(hit.score), bits(score_event(specs[hit.id - 1],
+                                                    events[i])))
+            << "seed " << seed << " event " << i << " id " << hit.id;
+      }
+    }
+  }
+}
+
+TEST(CompiledScoring, DuplicateQueryTermsCountOncePerOccurrence) {
+  const ScoringSpec twice = bm25_spec({{"log", 1.0}, {"log", 1.0}}, {"text"});
+  const ScoringSpec once = bm25_spec({{"log", 1.0}}, {"text"});
+  ScoringIndex index;
+  index.set(1, twice);
+  index.set(2, once);
+  const Event event = Event().with("text", "log feed");
+  ScoringIndex::Scorer scorer(index);
+  scorer.start(event);
+  EXPECT_EQ(bits(scorer.score(1).score), bits(score_event(twice, event)));
+  EXPECT_EQ(scorer.score(1).score, 2.0 * scorer.score(2).score);
+  EXPECT_EQ(scorer.score(3).spec, nullptr);  // no spec: the constant
+  EXPECT_EQ(scorer.score(3).score, kConstantScore);
+}
+
+TEST(CompiledScoring, DictionaryHoldsLiveQueryTermsOnly) {
+  ScoringIndex index;
+  index.set(1, bm25_spec({{"log", 1.0}, {"feed", 1.0}}, {"text"}));
+  index.set(2, bm25_spec({{"log", 2.0}, {"news", 1.0}}, {"title"}));
+  EXPECT_EQ(index.term_count(), 3u);
+  index.erase(1);
+  EXPECT_EQ(index.term_count(), 2u);  // "log" still used by id 2
+  // Replacing a spec releases its old terms; a neutral one releases all.
+  index.set(2, bm25_spec({{"alpha", 1.0}}, {"text"}));
+  EXPECT_EQ(index.term_count(), 1u);
+  index.set(2, ScoringSpec{});
+  EXPECT_EQ(index.term_count(), 0u);
+  EXPECT_TRUE(index.empty());
+  // Freed term ids are reused without mixing up frequencies.
+  const ScoringSpec spec = bm25_spec({{"feed", 1.0}, {"log", 0.5}}, {"text"});
+  index.set(3, spec);
+  const Event event = Event().with("text", "log log feed");
+  ScoringIndex::Scorer scorer(index);
+  scorer.start(event);
+  EXPECT_EQ(bits(scorer.score(3).score), bits(score_event(spec, event)));
 }
 
 // --- end-to-end: threshold + top-k composition at a broker -------------------
